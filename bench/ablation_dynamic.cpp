@@ -5,13 +5,13 @@
 // count is not a power of two — the binary tree forces an uneven static
 // split and "the computation effectively proceeds at the speed of the
 // smaller group".  It proposes dynamic regrouping as future work; PHMSE
-// implements a wave-synchronized version (src/core/dynamic.hpp).  This
+// implements a wave-synchronized version as a second processor schedule
+// (core::assign_wave_processors, executed by core::SolvePlan).  This
 // harness compares the two on the simulated DASH.
 #include <cstdio>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "core/dynamic.hpp"
 #include "support/table.hpp"
 
 namespace phmse::bench {
@@ -29,21 +29,20 @@ int run() {
   double static1 = 0.0;
   double dynamic1 = 0.0;
   for (int procs : {1, 2, 3, 4, 5, 6, 8, 12, 16, 24, 32}) {
-    // A DASH-like machine with exactly `procs` processors, so the dynamic
-    // scheduler (which always spreads over the whole machine) is compared
-    // against the static schedule at equal resources.
+    // A DASH-like machine with exactly `procs` processors, so the wave
+    // schedule (whose global synchronization spans the whole machine) is
+    // compared against the static schedule at equal resources.
     simarch::MachineConfig cfg = simarch::dash32();
     cfg.processors = procs;
 
     core::Hierarchy hs = prepare_helix_hierarchy(p, procs);
     simarch::SimMachine ms(cfg);
-    const double ts =
-        core::solve_hierarchical_sim(hs, p.initial, opts, ms).vtime;
+    const double ts = core::SolvePlan(hs, opts).run(ms, p.initial).vtime;
 
     core::Hierarchy hd = prepare_helix_hierarchy(p, procs);
+    core::assign_wave_processors(hd, procs);
     simarch::SimMachine md(cfg);
-    const double td =
-        core::solve_hierarchical_dynamic_sim(hd, p.initial, opts, md).vtime;
+    const double td = core::SolvePlan(hd, opts).run(md, p.initial).vtime;
 
     if (procs == 1) {
       static1 = ts;

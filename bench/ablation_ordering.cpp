@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "estimation/solver.hpp"
 #include "support/rng.hpp"
 #include "support/table.hpp"
 
@@ -31,21 +30,23 @@ struct Outcome {
   double delta = 0.0;
 };
 
-Outcome run_flat(const HelixProblem& p, const cons::ConstraintSet& ordered,
-                 const linalg::Vector& x0) {
-  est::NodeState st;
-  st.atom_begin = 0;
-  st.atom_end = p.model.num_atoms();
-  st.x = x0;
-  st.reset_covariance(0.5);
-  par::SerialContext ctx;
-  est::SolveOptions opts;
+core::HierSolveOptions convergence_options() {
+  core::HierSolveOptions opts;
   opts.prior_sigma = 0.5;
   opts.max_cycles = 60;
   opts.tolerance = 0.03;
-  const est::SolveResult r = est::solve_flat(ctx, st, ordered, opts);
+  return opts;
+}
+
+Outcome run_flat(const HelixProblem& p, const cons::ConstraintSet& ordered,
+                 const linalg::Vector& x0) {
+  engine::CompileOptions opts;
+  opts.solve = convergence_options();
+  engine::Plan plan = Engine::compile(
+      engine::Problem::flat(p.model.num_atoms(), ordered), opts);
+  const engine::Result r = plan.solve(x0);
   return {r.cycles, r.converged,
-          cons::rms_residual(ordered, p.model.topology, st.x),
+          cons::rms_residual(ordered, p.model.topology, r.posterior().x),
           r.last_cycle_delta};
 }
 
@@ -111,18 +112,13 @@ int run() {
 
   // (d) Hierarchical computation proper.
   {
-    core::Hierarchy h = prepare_helix_hierarchy(p, 1);
-    par::SerialContext ctx;
-    core::HierSolveOptions opts;
-    opts.prior_sigma = 0.5;
-    opts.max_cycles = 60;
-    opts.tolerance = 0.03;
-    const core::HierSolveResult r =
-        core::solve_hierarchical(ctx, h, p.initial, opts);
+    engine::Plan plan = make_helix_plan(p, 1, convergence_options());
+    const engine::Result r = plan.solve(p.initial);
     t.add_row({"hierarchical", std::to_string(r.cycles),
                r.converged ? "yes" : "no",
                format_fixed(cons::rms_residual(p.constraints,
-                                               p.model.topology, r.state.x),
+                                               p.model.topology,
+                                               r.posterior().x),
                             4),
                format_fixed(r.last_cycle_delta, 4)});
   }

@@ -14,8 +14,8 @@
 #include "constraints/helix_gen.hpp"
 #include "constraints/ribo_gen.hpp"
 #include "core/assign.hpp"
-#include "core/hier_solver.hpp"
 #include "core/schedule.hpp"
+#include "core/solve_plan.hpp"
 #include "core/work_model.hpp"
 #include "engine/engine.hpp"
 #include "engine/study.hpp"

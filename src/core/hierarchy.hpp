@@ -33,9 +33,13 @@ struct HierNode {
   double own_work = 0.0;
   double subtree_work = 0.0;
 
-  /// Processor assignment (filled by assign_processors).
+  /// Processor assignment (filled by assign_processors or
+  /// assign_wave_processors).
   int proc_first = 0;
   int proc_count = 1;
+  /// Depth wave of the §5 wave schedule (filled by assign_wave_processors);
+  /// -1 under the static schedule.
+  int wave = -1;
 
   bool is_leaf() const { return children.empty(); }
   Index num_atoms() const { return atom_end - atom_begin; }

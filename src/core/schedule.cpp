@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -61,6 +62,7 @@ void partition(std::vector<HierNode*>& kids, std::size_t lo, std::size_t hi,
 void assign_node(HierNode& node, int first, int count) {
   node.proc_first = first;
   node.proc_count = count;
+  node.wave = -1;
   if (node.is_leaf()) return;
 
   std::vector<HierNode*> kids;
@@ -70,6 +72,65 @@ void assign_node(HierNode& node, int first, int count) {
     return a->subtree_work < b->subtree_work;
   });
   partition(kids, 0, kids.size(), first, count);
+}
+
+// Collects the nodes at every depth (root = depth 0), left to right.
+void collect_levels(HierNode& node, int depth,
+                    std::vector<std::vector<HierNode*>>& levels) {
+  if (static_cast<int>(levels.size()) <= depth) {
+    levels.resize(static_cast<std::size_t>(depth) + 1);
+  }
+  levels[static_cast<std::size_t>(depth)].push_back(&node);
+  for (auto& child : node.children) collect_levels(*child, depth + 1, levels);
+}
+
+// Splits `processors` among the wave's nodes proportionally to own_work
+// (including assembly), each node getting at least one; returns per-node
+// (first, count).  Nodes keep wave order, so groups are contiguous.
+std::vector<std::pair<int, int>> wave_groups(
+    const std::vector<HierNode*>& wave, int processors) {
+  const int n = static_cast<int>(wave.size());
+  std::vector<std::pair<int, int>> out(static_cast<std::size_t>(n));
+  if (n >= processors) {
+    // More nodes than processors: round-robin sharing, one each.
+    for (int i = 0; i < n; ++i) {
+      out[static_cast<std::size_t>(i)] = {i % processors, 1};
+    }
+    return out;
+  }
+  double total = 0.0;
+  for (const HierNode* node : wave) total += std::max(node->own_work, 1e-30);
+
+  // Proportional apportionment with a floor of 1: every extra processor
+  // goes to the group whose deficit (claimed share minus current size) is
+  // largest.
+  std::vector<int> count(static_cast<std::size_t>(n), 1);
+  std::vector<double> share(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    share[static_cast<std::size_t>(i)] =
+        std::max(wave[static_cast<std::size_t>(i)]->own_work, 1e-30) / total *
+        processors;
+  }
+  for (int extra = 0; extra < processors - n; ++extra) {
+    int best = 0;
+    double best_deficit = -std::numeric_limits<double>::infinity();
+    for (int i = 0; i < n; ++i) {
+      const double deficit = share[static_cast<std::size_t>(i)] -
+                             count[static_cast<std::size_t>(i)];
+      if (deficit > best_deficit) {
+        best_deficit = deficit;
+        best = i;
+      }
+    }
+    count[static_cast<std::size_t>(best)] += 1;
+  }
+  int cursor = 0;
+  for (int i = 0; i < n; ++i) {
+    out[static_cast<std::size_t>(i)] = {cursor,
+                                        count[static_cast<std::size_t>(i)]};
+    cursor += count[static_cast<std::size_t>(i)];
+  }
+  return out;
 }
 
 void validate_node(const HierNode& node) {
@@ -95,8 +156,9 @@ void validate_node(const HierNode& node) {
 void describe_node(const HierNode& node, int indent, std::ostringstream& os) {
   os << std::string(static_cast<std::size_t>(indent) * 2, ' ') << node.name
      << " procs=[" << node.proc_first << ","
-     << node.proc_first + node.proc_count << ") work=" << node.subtree_work
-     << '\n';
+     << node.proc_first + node.proc_count << ")";
+  if (node.wave >= 0) os << " wave=" << node.wave;
+  os << " work=" << node.subtree_work << '\n';
   for (const auto& child : node.children) {
     describe_node(*child, indent + 1, os);
   }
@@ -107,6 +169,21 @@ void describe_node(const HierNode& node, int indent, std::ostringstream& os) {
 void assign_processors(Hierarchy& hierarchy, int processors) {
   PHMSE_CHECK(processors >= 1, "need at least one processor");
   assign_node(hierarchy.root(), 0, processors);
+}
+
+void assign_wave_processors(Hierarchy& hierarchy, int processors) {
+  PHMSE_CHECK(processors >= 1, "need at least one processor");
+  std::vector<std::vector<HierNode*>> levels;
+  collect_levels(hierarchy.root(), 0, levels);
+  for (std::size_t depth = 0; depth < levels.size(); ++depth) {
+    const auto groups = wave_groups(levels[depth], processors);
+    for (std::size_t i = 0; i < groups.size(); ++i) {
+      HierNode& node = *levels[depth][i];
+      node.proc_first = groups[i].first;
+      node.proc_count = groups[i].second;
+      node.wave = static_cast<int>(depth);
+    }
+  }
 }
 
 void validate_schedule(const Hierarchy& hierarchy) {

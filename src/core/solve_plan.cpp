@@ -6,7 +6,9 @@
 #include <cstdint>
 #include <cstring>
 #include <exception>
+#include <numeric>
 
+#include "core/schedule.hpp"
 #include "linalg/backend.hpp"
 #include "parallel/task_group.hpp"
 #include "parallel/team.hpp"
@@ -170,6 +172,22 @@ void SolvePlan::refresh_schedule() {
         w.remote_children.push_back(ci);
       }
     }
+  }
+  // Post-order ranks nodes of equal depth left to right, so a stable sort
+  // by descending wave visits the wave schedule deepest wave first, left to
+  // right within a wave — and leaves the static schedule (every wave -1)
+  // in post-order.
+  order_.resize(nodes_.size());
+  std::iota(order_.begin(), order_.end(), std::size_t{0});
+  std::stable_sort(order_.begin(), order_.end(),
+                   [this](std::size_t a, std::size_t b) {
+                     return nodes_[a].node->wave > nodes_[b].node->wave;
+                   });
+  schedule_error_.clear();
+  try {
+    validate_schedule(*hierarchy_);
+  } catch (const Error& e) {
+    schedule_error_ = e.what();
   }
 }
 
@@ -409,7 +427,7 @@ bool SolvePlan::try_run_lowrank(par::ExecContext& ctx, const Vector& initial_x,
                   initial_x.size() * sizeof(double)) != 0) {
     return false;
   }
-  if (changes.empty()) return false;  // nothing changed: use run_incremental
+  if (changes.empty()) return false;  // nothing changed: run incrementally
 
   // Vet every change before the state is touched: it must resolve to a
   // compiled node, carry finite values and a positive variance, and its
@@ -528,62 +546,40 @@ bool SolvePlan::try_run_lowrank(par::ExecContext& ctx, const Vector& initial_x,
   return true;
 }
 
-PlanRunStats SolvePlan::run_impl_(par::ExecContext& ctx,
-                                  const Vector& initial_x,
-                                  bool want_incremental) {
-  const ScopedCancelBind bind(ctx, cancel_);
-  return run_cycles_(initial_x, want_incremental, [&](const Vector& x0) {
-    // nodes_ is post-order, so children are always updated before their
-    // parent reads them: the recursion flattens to one loop.
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      if (cycle_incremental_ && !exec_[i]) continue;
-      update_node_(ctx, nodes_[i], x0);
+// The serial/simulated walk.  nodes_ is post-order and the wave order
+// visits every wave after the deeper one holding its children, so children
+// are always updated before their parent reads them: the recursion flattens
+// to one loop.
+void SolvePlan::run_nodes_(par::ExecContext* ctx, simarch::SimMachine* machine,
+                           const Vector& x0) {
+  int wave = -1;
+  for (const std::size_t i : order_) {
+    NodeWork& w = nodes_[i];
+    // Skipped nodes cost no virtual time and force no clock sync: the
+    // simulated timeline reflects only the dirty path's work.
+    if (cycle_incremental_ && !exec_[i]) continue;
+    if (machine == nullptr) {
+      update_node_(*ctx, w, x0);
+      continue;
     }
-  });
-}
-
-PlanRunStats SolvePlan::run(par::ExecContext& ctx, const Vector& initial_x) {
-  return run_impl_(ctx, initial_x, /*want_incremental=*/false);
-}
-
-PlanRunStats SolvePlan::run_incremental(par::ExecContext& ctx,
-                                        const Vector& initial_x) {
-  return run_impl_(ctx, initial_x, /*want_incremental=*/true);
-}
-
-PlanRunStats SolvePlan::run_sim_impl_(simarch::SimMachine& machine,
-                                      const Vector& initial_x,
-                                      bool want_incremental) {
-  machine.reset();
-  return run_cycles_(initial_x, want_incremental, [&](const Vector& x0) {
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      NodeWork& w = nodes_[i];
-      // Skipped nodes cost no virtual time and force no clock sync: the
-      // simulated timeline reflects only the dirty path's work.
-      if (cycle_incremental_ && !exec_[i]) continue;
-      // The node's team forms once all children are done: the virtual
-      // clocks of its processors join at the max (children ran on disjoint
-      // sub-ranges).
-      machine.sync_range(w.node->proc_first, w.node->proc_count);
-      simarch::SimContext ctx(machine, w.node->proc_first,
-                              w.node->proc_count);
-      // The simulated clock is virtual but the deadline clock is real:
-      // polls read the host's steady clock, so a wall-clock budget bounds
-      // a simulated solve exactly like a real one.
-      ctx.bind_cancel_token(cancel_);
-      update_node_(ctx, w, x0);
+    // Wave schedule (paper §5): every processor resynchronizes globally
+    // between waves.  Under the static schedule every wave is -1, so this
+    // never fires.
+    if (w.node->wave != wave) {
+      machine->sync_range(0, machine->processors());
+      wave = w.node->wave;
     }
-  });
-}
-
-PlanRunStats SolvePlan::run_sim(simarch::SimMachine& machine,
-                                const Vector& initial_x) {
-  return run_sim_impl_(machine, initial_x, /*want_incremental=*/false);
-}
-
-PlanRunStats SolvePlan::run_sim_incremental(simarch::SimMachine& machine,
-                                            const Vector& initial_x) {
-  return run_sim_impl_(machine, initial_x, /*want_incremental=*/true);
+    // The node's team forms once all children are done: the virtual clocks
+    // of its processors join at the max (children ran on disjoint
+    // sub-ranges).
+    machine->sync_range(w.node->proc_first, w.node->proc_count);
+    simarch::SimContext sim(*machine, w.node->proc_first, w.node->proc_count);
+    // The simulated clock is virtual but the deadline clock is real: polls
+    // read the host's steady clock, so a wall-clock budget bounds a
+    // simulated solve exactly like a real one.
+    sim.bind_cancel_token(cancel_);
+    update_node_(sim, w, x0);
+  }
 }
 
 // Threaded recursion: subtrees with disjoint processor groups run as tasks
@@ -641,36 +637,50 @@ void SolvePlan::run_threaded_node_(par::ThreadPool& pool, std::size_t index,
   w.profile += ctx.profile();
 }
 
-PlanRunStats SolvePlan::run_threaded_impl_(par::ThreadPool& pool,
-                                           const Vector& initial_x,
-                                           bool want_incremental) {
-  for (NodeWork& w : nodes_) w.profile.clear();
-  PlanRunStats stats = run_cycles_(initial_x, want_incremental,
-                                   [&](const Vector& x0) {
-    par::TaskGroup group(1);
-    group.bind_cancel_token(cancel_);
-    try {
-      pool.submit(hierarchy_->root().proc_first, [&] {
-        group.run([&] { run_threaded_node_(pool, nodes_.size() - 1, x0); });
-      });
-    } catch (...) {
-      group.fail(std::current_exception());
+PlanRunStats SolvePlan::run(Executor exec, const Vector& initial_x,
+                            bool incremental) {
+  if (par::ThreadPool* pool = exec.pool()) {
+    // Overlapping teams could deadlock the fork/join, so refuse before any
+    // node (or the checkpoint) is touched.
+    if (!schedule_error_.empty()) {
+      throw Error("a thread-pool run needs a nested processor schedule: " +
+                  schedule_error_);
     }
-    group.join();  // waits, then rethrows a subtree failure on this thread
-  });
-  threaded_profile_.clear();
-  for (const NodeWork& w : nodes_) threaded_profile_ += w.profile;
+    for (NodeWork& w : nodes_) w.profile.clear();
+    PlanRunStats stats =
+        run_cycles_(initial_x, incremental, [&](const Vector& x0) {
+          par::TaskGroup group(1);
+          group.bind_cancel_token(cancel_);
+          try {
+            pool->submit(hierarchy_->root().proc_first, [&] {
+              group.run(
+                  [&] { run_threaded_node_(*pool, nodes_.size() - 1, x0); });
+            });
+          } catch (...) {
+            group.fail(std::current_exception());
+          }
+          group.join();  // waits, then rethrows a subtree failure here
+        });
+    for (const NodeWork& w : nodes_) stats.breakdown += w.profile;
+    return stats;
+  }
+  if (simarch::SimMachine* machine = exec.machine()) {
+    machine->reset();
+    PlanRunStats stats = run_cycles_(
+        initial_x, incremental,
+        [&](const Vector& x0) { run_nodes_(nullptr, machine, x0); });
+    stats.vtime = machine->elapsed();
+    stats.breakdown = machine->reported_profile();
+    return stats;
+  }
+  par::ExecContext& ctx = *exec.context();
+  const ScopedCancelBind bind(ctx, cancel_);
+  const perf::Profile before = ctx.profile();
+  PlanRunStats stats =
+      run_cycles_(initial_x, incremental,
+                  [&](const Vector& x0) { run_nodes_(&ctx, nullptr, x0); });
+  stats.breakdown = ctx.profile().minus(before);
   return stats;
-}
-
-PlanRunStats SolvePlan::run_threaded(par::ThreadPool& pool,
-                                     const Vector& initial_x) {
-  return run_threaded_impl_(pool, initial_x, /*want_incremental=*/false);
-}
-
-PlanRunStats SolvePlan::run_threaded_incremental(par::ThreadPool& pool,
-                                                 const Vector& initial_x) {
-  return run_threaded_impl_(pool, initial_x, /*want_incremental=*/true);
 }
 
 }  // namespace phmse::core

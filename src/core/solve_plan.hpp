@@ -3,26 +3,30 @@
 // Everything about a hierarchical solve that does not depend on the
 // observation *values* — the tree shape, which constraints land on which
 // node, batch boundaries, the §4.3 processor schedule, and the scratch
-// buffers every node needs — is captured once in a SolvePlan.  Executing
-// the plan (serial, threaded, or simulated) then walks a flattened
-// post-order node list through one shared update path, so repeated solves
-// against fresh observations or noise realizations touch no setup code and,
-// in the serial steady state, perform no heap allocation at all.
+// buffers every node needs — is captured once in a SolvePlan.  SolvePlan is
+// the only code that walks the tree: one run() executes it on any executor
+// (a caller's context, a thread pool, or a simulated machine) through one
+// shared node-update path, so repeated solves against fresh observations or
+// noise realizations touch no setup code and, in the serial steady state,
+// perform no heap allocation at all.  A flat (non-hierarchical) solve is a
+// plan over a one-node hierarchy (build_flat_hierarchy).
 //
 // The estimate is propagated leaf-to-root in post-order.  A leaf starts
 // from the initial state vector slice and the spherical prior; an interior
 // node concatenates its children's posterior states and assembles their
 // covariances as diagonal blocks (the children are mutually uncorrelated
 // until the node's own boundary-spanning constraints are applied); every
-// node then runs the Fig.-1 update over its assigned constraints.  All
-// three execution modes apply constraints in the same order and therefore
-// produce bitwise-identical numerics.
+// node then runs the Fig.-1 update over its assigned constraints.  Every
+// executor and every processor schedule (the §4.3 static one or the §5 wave
+// one, core/schedule.hpp) applies each node's constraints in the same order
+// and therefore produces bitwise-identical numerics.
+//
 // Incremental re-solve (DESIGN.md §11): the persistent per-node states
 // double as checkpoints.  Engine::set_observations marks the nodes whose
-// observed values actually changed; run_incremental() then re-executes only
-// those nodes, any leaf whose initial-state slice changed bitwise, and
-// their ancestor paths, while every clean subtree's posterior is reused
-// in place.  The result is bitwise identical to a from-scratch run on all
+// observed values actually changed; an incremental run() then re-executes
+// only those nodes, any leaf whose initial-state slice changed bitwise, and
+// their ancestor paths, while every clean subtree's posterior is reused in
+// place.  The result is bitwise identical to a from-scratch run on all
 // three executors (tests/incremental_property_test.cpp pins this).
 #pragma once
 
@@ -43,14 +47,25 @@
 
 namespace phmse::core {
 
-/// Options for the hierarchical solve; see est::SolveOptions for the
-/// per-node update parameters.
+/// Options for the hierarchical solve: the per-node Fig.-1 update
+/// parameters plus the cycle loop around the whole tree.
 struct HierSolveOptions {
+  /// Constraint batch dimension m (the paper's Table 2 studies this; 16 is
+  /// the measured optimum).
   Index batch_size = 16;
+  /// Number of cycles over the full constraint set.  The paper's timing
+  /// experiments measure exactly one cycle; convergence runs use more.
   int max_cycles = 1;
+  /// If positive, stop early once the RMS change of the root state over a
+  /// full cycle drops below this threshold.
   double tolerance = 0.0;
-  /// See est::SolveOptions::prior_sigma.
+  /// Spherical prior standard deviation every leaf's covariance is
+  /// (re-)initialized to at the start of each cycle.  Beyond expressing
+  /// prior uncertainty this acts as a step damper for the relinearized
+  /// cycles (large priors let early batches overshoot their linearization
+  /// region); ~1 Angstrom works well for molecular data.
   double prior_sigma = 1.0;
+  /// Symmetrize C every this many batches (0 = never).
   Index symmetrize_every = 64;
   /// Degradation policy for numerically failing batches (DESIGN.md §9).
   /// The default (abort) throws on the first failure, exactly as solves
@@ -64,23 +79,26 @@ struct HierSolveOptions {
   std::string backend;
 };
 
-/// Result: the root posterior plus cycle statistics.
-struct HierSolveResult {
-  est::NodeState state;
-  int cycles = 0;
-  double last_cycle_delta = 0.0;
-  bool converged = false;
-  /// Per-batch fault-tolerance diagnostics of the solve (all nodes).
-  SolveReport report;
-};
+/// Names the executor of one plan run — exactly one of a caller's context
+/// (serial, team or any other ExecContext), a thread pool following the
+/// hierarchy's processor schedule, or a simulated machine.  Converts
+/// implicitly from each, so callers write `plan.run(pool, x)` or
+/// `plan.run(machine, x)`.  Three pointers, no allocation; the executor is
+/// chosen once per run, never per batch.
+class Executor {
+ public:
+  Executor(par::ExecContext& ctx) : ctx_(&ctx) {}  // NOLINT
+  Executor(par::ThreadPool& pool) : pool_(&pool) {}  // NOLINT
+  Executor(simarch::SimMachine& machine) : machine_(&machine) {}  // NOLINT
 
-/// Result of a simulated run.
-struct SimSolveResult {
-  HierSolveResult result;
-  /// Simulated work time (max virtual clock), seconds.
-  double vtime = 0.0;
-  /// Per-category time: max over processors (paper Tables 3-6 convention).
-  perf::Profile breakdown;
+  par::ExecContext* context() const { return ctx_; }
+  par::ThreadPool* pool() const { return pool_; }
+  simarch::SimMachine* machine() const { return machine_; }
+
+ private:
+  par::ExecContext* ctx_ = nullptr;
+  par::ThreadPool* pool_ = nullptr;
+  simarch::SimMachine* machine_ = nullptr;
 };
 
 /// One changed observation for try_run_lowrank: the constraint's owning
@@ -94,14 +112,14 @@ struct LowRankChange {
   double new_observed = 0.0;
 };
 
-/// Cycle statistics of one plan execution (the root posterior stays inside
-/// the plan; read it with root_state()).
+/// Statistics of one plan execution (the root posterior stays inside the
+/// plan; read it with root_state()).
 struct PlanRunStats {
   int cycles = 0;
   double last_cycle_delta = 0.0;
   bool converged = false;
   /// True when the run executed the incremental dirty schedule (a valid
-  /// checkpoint existed and the run was requested via run*_incremental).
+  /// checkpoint existed and the run was requested as incremental).
   bool incremental = false;
   /// True when the run was a low-rank perturbative update of the root
   /// posterior (try_run_lowrank) instead of any tree traversal.
@@ -111,6 +129,14 @@ struct PlanRunStats {
   long nodes_recomputed = 0;
   /// Cycle-1 nodes served from their checkpoint instead of re-executing.
   long nodes_reused = 0;
+  /// Per-category time of the run in the executor's own accounting: what
+  /// the run added to a caller context's profile, the sum over all node
+  /// teams on a thread pool, or the simulated machine's reported profile
+  /// (max over processors, the paper's Tables 3-6 convention).
+  perf::Profile breakdown;
+  /// Simulated work time (max virtual clock), seconds; 0 unless the run
+  /// executed on a simulated machine.
+  double vtime = 0.0;
 };
 
 /// A compiled, repeatedly-executable hierarchical solve.
@@ -118,14 +144,13 @@ struct PlanRunStats {
 /// The plan borrows `hierarchy` (tree shape, per-node constraint lists and
 /// processor schedule) and owns every per-node workspace: the node's
 /// persistent (x, C) estimate and a BatchUpdater whose scratch buffers are
-/// pre-sized for the node's batch shape.  run()/run_sim()/run_threaded()
-/// share one node-update code path and may be called any number of times;
-/// after the first call every buffer is warm and a serial run() performs
-/// zero heap allocations (tests/alloc_test.cpp pins this).
+/// pre-sized for the node's batch shape.  run() may be called any number of
+/// times on any executor; after the first call every buffer is warm and a
+/// serial run performs zero heap allocations (tests/alloc_test.cpp pins
+/// this).
 ///
-/// If the processor schedule on the hierarchy changes (assign_processors
-/// with a new count), call refresh_schedule() before the next threaded or
-/// simulated run.
+/// If the processor schedule on the hierarchy changes (assign_processors or
+/// assign_wave_processors), call refresh_schedule() before the next run.
 class SolvePlan {
  public:
   SolvePlan(Hierarchy& hierarchy, const HierSolveOptions& options);
@@ -135,42 +160,35 @@ class SolvePlan {
   SolvePlan(SolvePlan&&) = default;
   SolvePlan& operator=(SolvePlan&&) = default;
 
-  /// Post-order solve on an arbitrary context.  `initial_x` is the
+  /// Executes the plan's cycles on `exec` from `initial_x`, the
   /// full-molecule initial state (dimension 3 * root atoms).
-  PlanRunStats run(par::ExecContext& ctx, const linalg::Vector& initial_x);
-
-  /// Simulated parallel solve following the static schedule on `machine`
-  /// (which is reset first); read machine.elapsed() and
-  /// machine.reported_profile() afterwards for the virtual timing.
-  PlanRunStats run_sim(simarch::SimMachine& machine,
-                       const linalg::Vector& initial_x);
-
-  /// Real-thread parallel solve following the static schedule on `pool`.
+  ///
+  /// A caller's context and a simulated machine share one loop over the
+  /// nodes: post-order under the static schedule, wave by wave (deepest
+  /// first, left to right) under the wave schedule.  Each node runs on the
+  /// caller's context, or on a SimContext over its processor group once the
+  /// group's virtual clocks have synchronized (all processors synchronize
+  /// between waves); the machine is reset first.  A thread pool runs the
+  /// tree as fork/join tasks on its processor groups, which must nest: on a
+  /// schedule that fails validate_schedule (e.g. most wave schedules) the
+  /// run throws phmse::Error before any node executes.
   ///
   /// Exception safety: a failure anywhere in the tree (e.g. a bad
   /// constraint batch throwing phmse::Error on a worker lane) propagates to
   /// the caller as that same exception — no deadlocked join, no
-  /// std::terminate — and `pool` remains usable for subsequent solves.
-  PlanRunStats run_threaded(par::ThreadPool& pool,
-                            const linalg::Vector& initial_x);
-
-  /// Incremental variants of run / run_sim / run_threaded (DESIGN.md §11).
+  /// std::terminate — and a pool remains usable for subsequent solves.
   ///
-  /// When the plan holds a valid checkpoint — the previous run completed in
-  /// a single cycle — only the dirty nodes (observations changed via
+  /// Incremental runs (DESIGN.md §11): when `incremental` is set and the
+  /// plan holds a valid checkpoint — the previous run completed in a single
+  /// cycle — only the dirty nodes (observations changed via
   /// mark_constraint_dirty, or a leaf's `initial_x` slice changed bitwise)
   /// and their ancestor paths are re-executed; every other node's persisted
   /// posterior is reused in place and its saved sweep tally is replayed
-  /// into the report.  Without a valid checkpoint the call silently
-  /// degrades to a full run (PlanRunStats::incremental stays false).
-  /// Either way the posterior and the report are bitwise identical to the
-  /// corresponding full run.
-  PlanRunStats run_incremental(par::ExecContext& ctx,
-                               const linalg::Vector& initial_x);
-  PlanRunStats run_sim_incremental(simarch::SimMachine& machine,
-                                   const linalg::Vector& initial_x);
-  PlanRunStats run_threaded_incremental(par::ThreadPool& pool,
-                                        const linalg::Vector& initial_x);
+  /// into the report.  Without a valid checkpoint the run silently degrades
+  /// to a full one (PlanRunStats::incremental stays false).  Either way the
+  /// posterior and the report are bitwise identical to a full run.
+  PlanRunStats run(Executor exec, const linalg::Vector& initial_x,
+                   bool incremental = false);
 
   /// Marks `node`'s compiled workspace observation-dirty: the next
   /// incremental run re-executes it and its ancestor path.  `node` must
@@ -204,15 +222,15 @@ class SolvePlan {
   /// the original linearization, embedded lower in the tree.  Cost is
   /// O(k n) total, no factorization.  For nonlinear constraints the frozen
   /// linearization makes the result a first-order (EKF) approximation, NOT
-  /// bitwise-exact — callers who need the bitwise guarantee use
-  /// run_incremental instead.
+  /// bitwise-exact — callers who need the bitwise guarantee use an
+  /// incremental run() instead.
   ///
   /// Preconditions: a single-cycle checkpoint exists, `initial_x` is
   /// bitwise the checkpoint's initial state, every change resolves to a
   /// plan node with an archived applied row, the inputs are finite, and —
   /// under an outlier-gating policy — no change is large enough that the
   /// exact path might gate it.  On any precondition failure the function
-  /// returns false and the caller must fall back to run_incremental — the
+  /// returns false and the caller must fall back to an incremental run — the
   /// changed nodes (and the root) remain marked dirty, so the fallback
   /// rebuilds every state the attempt may have touched.
   bool try_run_lowrank(par::ExecContext& ctx, const linalg::Vector& initial_x,
@@ -247,9 +265,11 @@ class SolvePlan {
 
   std::size_t num_nodes() const { return nodes_.size(); }
 
-  /// Re-derives the inline/remote child partition from the hierarchy's
-  /// current proc_first/proc_count values.  Checkpoints stay valid: the
-  /// schedule changes which lane executes a node, never its numerics.
+  /// Re-reads the hierarchy's schedule: the inline/remote child partition
+  /// from proc_first/proc_count, the node visiting order from the waves,
+  /// and whether the groups nest (validate_schedule).  Checkpoints stay
+  /// valid: the schedule changes which lane executes a node and when, never
+  /// its numerics.
   void refresh_schedule();
 
   /// The root posterior of the most recent run.
@@ -257,10 +277,6 @@ class SolvePlan {
 
   /// Moves the root posterior out (for callers that outlive the plan).
   est::NodeState take_root_state() { return std::move(nodes_.back().state); }
-
-  /// Per-category time of the most recent run_threaded(), summed over all
-  /// node teams.
-  const perf::Profile& threaded_profile() const { return threaded_profile_; }
 
   /// Fault-tolerance diagnostics of the most recent run (any executor):
   /// every node's batch tally aggregated after the executor has joined.
@@ -288,6 +304,7 @@ class SolvePlan {
     /// Post-order index of the parent node; kNoParent for the root.  Used
     /// to propagate dirtiness up the ancestor path in one ascending pass.
     std::size_t parent = kNoParent;
+    /// This node's team profile on a thread pool (summed after the join).
     perf::Profile profile;
     /// Batch tally of the current run; only this node's executor lane
     /// writes it, so no synchronization is needed until the post-join
@@ -306,17 +323,11 @@ class SolvePlan {
   void assemble_dirty_children_(par::ExecContext& ctx, NodeWork& w);
   void update_node_(par::ExecContext& ctx, NodeWork& w,
                     const linalg::Vector& x0);
+  void run_nodes_(par::ExecContext* ctx, simarch::SimMachine* machine,
+                  const linalg::Vector& x0);
   void run_threaded_node_(par::ThreadPool& pool, std::size_t index,
                           const linalg::Vector& x0);
   void prepare_schedule_(const linalg::Vector& initial_x, bool incremental);
-  PlanRunStats run_impl_(par::ExecContext& ctx, const linalg::Vector& initial_x,
-                         bool want_incremental);
-  PlanRunStats run_sim_impl_(simarch::SimMachine& machine,
-                             const linalg::Vector& initial_x,
-                             bool want_incremental);
-  PlanRunStats run_threaded_impl_(par::ThreadPool& pool,
-                                  const linalg::Vector& initial_x,
-                                  bool want_incremental);
   template <typename PassFn>
   PlanRunStats run_cycles_(const linalg::Vector& initial_x,
                            bool want_incremental, PassFn&& pass);
@@ -327,6 +338,14 @@ class SolvePlan {
   /// from options_.backend at plan build (registry-static, never null).
   const linalg::Backend* backend_ = nullptr;
   std::vector<NodeWork> nodes_;  // post-order; root last
+  /// Visiting order of run_nodes_ (indices into nodes_): post-order under
+  /// the static schedule, wave by wave under the wave schedule.  Derived
+  /// by refresh_schedule.
+  std::vector<std::size_t> order_;
+  /// Why the schedule's processor groups do not nest (validate_schedule's
+  /// message), or empty when they do; a thread-pool run refuses to start
+  /// on a non-nesting schedule.  Derived by refresh_schedule.
+  std::string schedule_error_;
   /// Post-order index of each hierarchy node, for mark_constraint_dirty.
   std::unordered_map<const HierNode*, std::size_t> node_index_;
   /// Observation-dirty flags fed by mark_constraint_dirty; drained when a
@@ -357,7 +376,6 @@ class SolvePlan {
   linalg::Vector last_initial_;
   linalg::Vector prev_x_;        // previous cycle's root state
   linalg::Vector lowrank_dx_;    // try_run_lowrank mean-shift scratch
-  perf::Profile threaded_profile_;
   SolveReport report_;           // aggregated after every run
 };
 

@@ -183,6 +183,8 @@ Result Plan::finish_result_(const core::PlanRunStats& stats, double seconds) {
   r.last_cycle_delta = stats.last_cycle_delta;
   r.converged = stats.converged;
   r.seconds = seconds;
+  r.vtime = stats.vtime;
+  r.breakdown = stats.breakdown;
   // Copying the report is cheap on a clean solve: the counters are plain
   // scalars and the incident vector is empty (a size-0 copy does not
   // allocate), so the steady-state path stays allocation-free.
@@ -210,82 +212,25 @@ Plan::SolveFlight::~SolveFlight() {
   busy_.store(false, std::memory_order_release);
 }
 
-Result Plan::solve(const linalg::Vector& initial_x) {
-  return solve(serial_, initial_x);
+Result Plan::solve(const linalg::Vector& initial_x,
+                   const SolveOptions& controls) {
+  return solve_(serial_, initial_x, /*incremental=*/false, controls);
 }
 
-Result Plan::solve(par::ExecContext& ctx, const linalg::Vector& initial_x) {
-  const SolveFlight flight(*in_solve_);
-  const perf::Profile before = ctx.profile();
-  Stopwatch sw;
-  const core::PlanRunStats stats = plan_->run(ctx, initial_x);
-  Result r = finish_result_(stats, sw.seconds());
-  r.breakdown = ctx.profile().minus(before);
-  clear_pending_();
-  return r;
+Result Plan::solve(core::Executor exec, const linalg::Vector& initial_x,
+                   const SolveOptions& controls) {
+  return solve_(exec, initial_x, /*incremental=*/false, controls);
 }
 
-Result Plan::solve(par::ThreadPool& pool, const linalg::Vector& initial_x) {
-  const SolveFlight flight(*in_solve_);
-  Stopwatch sw;
-  const core::PlanRunStats stats = plan_->run_threaded(pool, initial_x);
-  Result r = finish_result_(stats, sw.seconds());
-  r.breakdown = plan_->threaded_profile();
-  clear_pending_();
-  return r;
+Result Plan::solve_incremental(const linalg::Vector& initial_x,
+                               const SolveOptions& controls) {
+  return solve_(serial_, initial_x, /*incremental=*/true, controls);
 }
 
-Result Plan::solve(simarch::SimMachine& machine,
-                   const linalg::Vector& initial_x) {
-  const SolveFlight flight(*in_solve_);
-  Stopwatch sw;
-  const core::PlanRunStats stats = plan_->run_sim(machine, initial_x);
-  Result r = finish_result_(stats, sw.seconds());
-  r.vtime = machine.elapsed();
-  r.breakdown = machine.reported_profile();
-  clear_pending_();
-  return r;
-}
-
-Result Plan::solve_incremental(const linalg::Vector& initial_x) {
-  return solve_incremental(serial_, initial_x);
-}
-
-Result Plan::solve_incremental(par::ExecContext& ctx,
-                               const linalg::Vector& initial_x) {
-  const SolveFlight flight(*in_solve_);
-  const perf::Profile before = ctx.profile();
-  Stopwatch sw;
-  const core::PlanRunStats stats = plan_->run_incremental(ctx, initial_x);
-  Result r = finish_result_(stats, sw.seconds());
-  r.breakdown = ctx.profile().minus(before);
-  clear_pending_();
-  return r;
-}
-
-Result Plan::solve_incremental(par::ThreadPool& pool,
-                               const linalg::Vector& initial_x) {
-  const SolveFlight flight(*in_solve_);
-  Stopwatch sw;
-  const core::PlanRunStats stats =
-      plan_->run_threaded_incremental(pool, initial_x);
-  Result r = finish_result_(stats, sw.seconds());
-  r.breakdown = plan_->threaded_profile();
-  clear_pending_();
-  return r;
-}
-
-Result Plan::solve_incremental(simarch::SimMachine& machine,
-                               const linalg::Vector& initial_x) {
-  const SolveFlight flight(*in_solve_);
-  Stopwatch sw;
-  const core::PlanRunStats stats =
-      plan_->run_sim_incremental(machine, initial_x);
-  Result r = finish_result_(stats, sw.seconds());
-  r.vtime = machine.elapsed();
-  r.breakdown = machine.reported_profile();
-  clear_pending_();
-  return r;
+Result Plan::solve_incremental(core::Executor exec,
+                               const linalg::Vector& initial_x,
+                               const SolveOptions& controls) {
+  return solve_(exec, initial_x, /*incremental=*/true, controls);
 }
 
 bool Plan::try_lowrank_result_(const linalg::Vector& initial_x, Result* out) {
@@ -320,7 +265,7 @@ Result Plan::solve_lowrank(const linalg::Vector& initial_x) {
   // Exact fallback: the changed slots already marked their nodes dirty, so
   // the incremental path (itself falling back to a full run when no
   // checkpoint is valid) gives the bitwise-reproducible answer.
-  return solve_incremental(serial_, initial_x);
+  return solve_(serial_, initial_x, /*incremental=*/true, {});
 }
 
 const par::CancelToken* Plan::arm_controls_(const SolveOptions& controls) {
@@ -336,13 +281,10 @@ const par::CancelToken* Plan::arm_controls_(const SolveOptions& controls) {
   return controls.cancel;
 }
 
-template <typename SolveFn>
-Result Plan::solve_controlled_(const SolveOptions& controls,
-                               const linalg::Vector& initial_x,
-                               SolveFn&& do_solve) {
+Result Plan::solve_(core::Executor exec, const linalg::Vector& initial_x,
+                    bool incremental, const SolveOptions& controls) {
   const par::CancelToken* token = arm_controls_(controls);
-  if (token == nullptr) return do_solve();  // uncontrolled: zero overhead
-  if (token->stop_requested()) {
+  if (token != nullptr && token->stop_requested()) {
     // Shed before touching the plan: a budget spent (or a cancel raised)
     // before the solve starts must not burn a single batch.
     if (token->expired()) {
@@ -351,7 +293,8 @@ Result Plan::solve_controlled_(const SolveOptions& controls,
     throw par::CancelledError("solve: cancelled before the solve started",
                               /*deadline=*/false);
   }
-  if (controls.degrade_lowrank && exact_seconds_ewma_ > 0.0) {
+  if (token != nullptr && controls.degrade_lowrank &&
+      exact_seconds_ewma_ > 0.0) {
     // Degradation is decided UP FRONT: once an exact attempt is cancelled
     // its checkpoint is gone and the low-rank preconditions can no longer
     // hold, so a reactive fallback would be too late.  1.5x is a safety
@@ -362,74 +305,26 @@ Result Plan::solve_controlled_(const SolveOptions& controls,
       if (try_lowrank_result_(initial_x, &degraded)) return degraded;
     }
   }
+  const SolveFlight flight(*in_solve_);
+  // The token (null for an uncontrolled solve) is bound for this run only.
+  struct Unbind {
+    core::SolvePlan& plan;
+    ~Unbind() { plan.bind_cancel(nullptr); }
+  } const unbind{*plan_};
   plan_->bind_cancel(token);
+  Stopwatch sw;
+  core::PlanRunStats stats;
   try {
-    Result r = do_solve();
-    plan_->bind_cancel(nullptr);
-    return r;
+    stats = plan_->run(exec, initial_x, incremental);
   } catch (const par::CancelledError& e) {
-    plan_->bind_cancel(nullptr);
-    if (e.deadline_expired) {
+    if (token != nullptr && e.deadline_expired) {
       throw DeadlineError(std::string("solve: ") + e.what());
     }
     throw;
-  } catch (...) {
-    plan_->bind_cancel(nullptr);
-    throw;
   }
-}
-
-Result Plan::solve(const linalg::Vector& initial_x,
-                   const SolveOptions& controls) {
-  return solve_controlled_(controls, initial_x,
-                           [&] { return solve(initial_x); });
-}
-
-Result Plan::solve(par::ExecContext& ctx, const linalg::Vector& initial_x,
-                   const SolveOptions& controls) {
-  return solve_controlled_(controls, initial_x,
-                           [&] { return solve(ctx, initial_x); });
-}
-
-Result Plan::solve(par::ThreadPool& pool, const linalg::Vector& initial_x,
-                   const SolveOptions& controls) {
-  return solve_controlled_(controls, initial_x,
-                           [&] { return solve(pool, initial_x); });
-}
-
-Result Plan::solve(simarch::SimMachine& machine,
-                   const linalg::Vector& initial_x,
-                   const SolveOptions& controls) {
-  return solve_controlled_(controls, initial_x,
-                           [&] { return solve(machine, initial_x); });
-}
-
-Result Plan::solve_incremental(const linalg::Vector& initial_x,
-                               const SolveOptions& controls) {
-  return solve_controlled_(controls, initial_x,
-                           [&] { return solve_incremental(initial_x); });
-}
-
-Result Plan::solve_incremental(par::ExecContext& ctx,
-                               const linalg::Vector& initial_x,
-                               const SolveOptions& controls) {
-  return solve_controlled_(controls, initial_x,
-                           [&] { return solve_incremental(ctx, initial_x); });
-}
-
-Result Plan::solve_incremental(par::ThreadPool& pool,
-                               const linalg::Vector& initial_x,
-                               const SolveOptions& controls) {
-  return solve_controlled_(controls, initial_x,
-                           [&] { return solve_incremental(pool, initial_x); });
-}
-
-Result Plan::solve_incremental(simarch::SimMachine& machine,
-                               const linalg::Vector& initial_x,
-                               const SolveOptions& controls) {
-  return solve_controlled_(
-      controls, initial_x,
-      [&] { return solve_incremental(machine, initial_x); });
+  Result r = finish_result_(stats, sw.seconds());
+  clear_pending_();
+  return r;
 }
 
 void Plan::clear_pending_() {

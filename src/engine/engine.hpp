@@ -10,9 +10,10 @@
 //              work model, schedule, and a core::SolvePlan with pre-sized
 //              per-node workspaces;
 //   solve()  — executes the plan against fresh observation values on any
-//              executor (owned serial context, caller's ExecContext, a
-//              ThreadPool, or a simulated machine), returning the posterior
-//              with per-phase timing and per-category perf counters.
+//              executor (owned serial context, or a core::Executor naming a
+//              caller's ExecContext, a ThreadPool, or a simulated machine),
+//              returning the posterior with per-phase timing and
+//              per-category perf counters.
 //
 // A plan is reused across solves, processor counts (reschedule) and
 // observation vectors (set_observations); after the first solve the serial
@@ -47,8 +48,8 @@ class DeadlineError : public Error {
   using Error::Error;
 };
 
-/// Per-solve time/cancellation controls (DESIGN.md §13), accepted by the
-/// solve/solve_incremental overloads below.  Orthogonal to the compile-time
+/// Per-solve time/cancellation controls (DESIGN.md §13), accepted by
+/// solve/solve_incremental below.  Orthogonal to the compile-time
 /// HierSolveOptions: these arm one run, not the plan.
 struct SolveOptions {
   /// Wall-clock budget for this solve, measured from the call; <= 0 means
@@ -86,7 +87,9 @@ struct Problem {
   /// problem as uncacheable.
   std::string recipe;
 
-  /// Single-node decomposition: the flat (non-hierarchical) solver.
+  /// Single-node decomposition: the flat (non-hierarchical) solve of the
+  /// paper's Table 1 — every constraint applied to one node covering the
+  /// whole molecule, the covariance re-initialized to the prior each cycle.
   static Problem flat(Index num_atoms, cons::ConstraintSet constraints);
 
   /// Recursive bisection down to `max_leaf_atoms` atoms per leaf.
@@ -169,8 +172,12 @@ class Plan {
   Plan(const Plan&) = delete;
   Plan& operator=(const Plan&) = delete;
 
-  /// Serial solve on the plan's own context.  After the first call this is
-  /// the zero-allocation steady-state path.
+  /// Solve on the plan's own serial context, or on `exec` (a caller's
+  /// ExecContext, a ThreadPool following the plan's schedule, or a
+  /// simulated machine — reset first, Result::vtime and the breakdown carry
+  /// its virtual timing).  After the first call the serial solve is the
+  /// zero-allocation steady-state path.  See core::SolvePlan::run for the
+  /// executors' exception-safety contract.
   ///
   /// `initial_x` is the solve's LINEARIZATION POINT, not just a warm start:
   /// every leaf fills its state from its slice of it and the constraint
@@ -180,18 +187,19 @@ class Plan {
   /// initial_x re-linearizes the whole problem at the current estimate —
   /// the re-linearization seam the refine::Refiner's iterated mode drives
   /// (DESIGN.md §14), symmetric with how set_observations rebinds values.
-  Result solve(const linalg::Vector& initial_x);
-
-  /// Solve on a caller-provided context (serial, team, or simulated).
-  Result solve(par::ExecContext& ctx, const linalg::Vector& initial_x);
-
-  /// Threaded solve following the §4.3 schedule on `pool` (see
-  /// core::SolvePlan::run_threaded for the exception-safety contract).
-  Result solve(par::ThreadPool& pool, const linalg::Vector& initial_x);
-
-  /// Simulated solve on `machine` (reset first); Result::vtime and the
-  /// breakdown carry the virtual timing.
-  Result solve(simarch::SimMachine& machine, const linalg::Vector& initial_x);
+  ///
+  /// `controls` arm deadline/cancellation for this run (DESIGN.md §13): the
+  /// run observes them at every batch and node boundary on whichever
+  /// executor is used; on deadline expiry the solve throws DeadlineError
+  /// (explicit external cancellation surfaces as par::CancelledError), the
+  /// plan's checkpoint machinery guarantees the abort is transactional, and
+  /// — with controls.degrade_lowrank — a deadline too tight for the exact
+  /// path is answered by the low-rank root update when its preconditions
+  /// hold.  Default-constructed controls add no overhead.
+  Result solve(const linalg::Vector& initial_x,
+               const SolveOptions& controls = {});
+  Result solve(core::Executor exec, const linalg::Vector& initial_x,
+               const SolveOptions& controls = {});
 
   /// Incremental re-solve (DESIGN.md §11): re-executes only the nodes whose
   /// observations changed since the last completed run (tracked by
@@ -202,41 +210,11 @@ class Plan {
   /// (first solve on a fresh plan, a previous run that aborted, or a
   /// previous run that took more than one cycle).  On every executor the
   /// posterior and report are bitwise identical to the matching solve().
-  Result solve_incremental(const linalg::Vector& initial_x);
-  Result solve_incremental(par::ExecContext& ctx,
-                           const linalg::Vector& initial_x);
-  Result solve_incremental(par::ThreadPool& pool,
-                           const linalg::Vector& initial_x);
-  Result solve_incremental(simarch::SimMachine& machine,
-                           const linalg::Vector& initial_x);
-
-  /// Deadline/cancellation-controlled variants (DESIGN.md §13).  The run
-  /// observes `controls` at every batch and node boundary on whichever
-  /// executor is used; on deadline expiry the solve throws DeadlineError
-  /// (explicit external cancellation surfaces as par::CancelledError), the
-  /// plan's checkpoint machinery guarantees the abort is transactional, and
-  /// — with controls.degrade_lowrank — a deadline too tight for the exact
-  /// path is answered by the low-rank root update when its preconditions
-  /// hold.  With default-constructed controls these are exactly the
-  /// uncontrolled overloads above.
-  Result solve(const linalg::Vector& initial_x, const SolveOptions& controls);
-  Result solve(par::ExecContext& ctx, const linalg::Vector& initial_x,
-               const SolveOptions& controls);
-  Result solve(par::ThreadPool& pool, const linalg::Vector& initial_x,
-               const SolveOptions& controls);
-  Result solve(simarch::SimMachine& machine, const linalg::Vector& initial_x,
-               const SolveOptions& controls);
   Result solve_incremental(const linalg::Vector& initial_x,
-                           const SolveOptions& controls);
-  Result solve_incremental(par::ExecContext& ctx,
+                           const SolveOptions& controls = {});
+  Result solve_incremental(core::Executor exec,
                            const linalg::Vector& initial_x,
-                           const SolveOptions& controls);
-  Result solve_incremental(par::ThreadPool& pool,
-                           const linalg::Vector& initial_x,
-                           const SolveOptions& controls);
-  Result solve_incremental(simarch::SimMachine& machine,
-                           const linalg::Vector& initial_x,
-                           const SolveOptions& controls);
+                           const SolveOptions& controls = {});
 
   /// Low-rank perturbative re-solve (DESIGN.md §11): when only k observation
   /// values changed since the last completed single-cycle run, fold them
@@ -365,6 +343,12 @@ class Plan {
   /// Builds a Result from a finished core run and feeds the exact-path
   /// duration EWMA the degradation rung consults (low-rank runs excluded).
   Result finish_result_(const core::PlanRunStats& stats, double seconds);
+  /// The one implementation behind solve/solve_incremental: arm the token,
+  /// shed an already-spent budget, maybe degrade, run the core plan on
+  /// `exec` with the token bound, translate deadline-caused CancelledError
+  /// into DeadlineError.
+  Result solve_(core::Executor exec, const linalg::Vector& initial_x,
+                bool incremental, const SolveOptions& controls);
   /// Arms run_token_ from `controls` and returns the token the run should
   /// observe (null = uncontrolled).  The caller's token is never mutated.
   const par::CancelToken* arm_controls_(const SolveOptions& controls);
@@ -372,14 +356,6 @@ class Plan {
   /// materializes the pending work-list and attempts try_run_lowrank;
   /// false = preconditions refused, the caller falls back.
   bool try_lowrank_result_(const linalg::Vector& initial_x, Result* out);
-  /// Shared spine of every controlled overload: arm the token, shed an
-  /// already-spent budget, maybe degrade, run `do_solve` with the token
-  /// bound to the core plan, translate deadline-caused CancelledError into
-  /// DeadlineError.
-  template <typename SolveFn>
-  Result solve_controlled_(const SolveOptions& controls,
-                           const linalg::Vector& initial_x,
-                           SolveFn&& do_solve);
 
   std::unique_ptr<core::Hierarchy> hierarchy_;
   std::vector<core::AssignedSlot> slots_;

@@ -11,7 +11,12 @@ SpeedupStudy run_speedup_study(Plan& plan, const linalg::Vector& initial,
   PHMSE_CHECK(!counts.empty(), "study needs at least one processor count");
   SpeedupStudy study;
   study.machine = machine.name;
-  const int original_processors = plan.processors();
+  // Restores the caller's schedule on every exit, a throwing solve included.
+  struct RestoreSchedule {
+    Plan& plan;
+    const int processors;
+    ~RestoreSchedule() { plan.reschedule(processors); }
+  } restore{plan, plan.processors()};
   double t_first = 0.0;
   for (int procs : counts) {
     if (procs < 1 || procs > machine.processors) continue;
@@ -26,7 +31,6 @@ SpeedupStudy run_speedup_study(Plan& plan, const linalg::Vector& initial,
     row.breakdown = res.breakdown;
     study.rows.push_back(std::move(row));
   }
-  plan.reschedule(original_processors);
   PHMSE_CHECK(!study.rows.empty(),
               "no processor count fits the machine configuration");
   return study;

@@ -37,7 +37,8 @@ struct SpeedupStudy {
 
 /// Runs the plan's configured cycles at every processor count in `counts`
 /// (entries exceeding the machine size are skipped) and collects the
-/// paper-style rows.  The plan's original schedule is restored afterwards.
+/// paper-style rows.  The plan's original schedule is restored afterwards,
+/// also when a solve throws.
 SpeedupStudy run_speedup_study(Plan& plan, const linalg::Vector& initial,
                                const simarch::MachineConfig& machine,
                                const std::vector<int>& counts);

@@ -28,13 +28,6 @@ NodeState make_initial_state(const mol::Topology& topology, Index begin,
   return st;
 }
 
-NodeState make_state_from_full(const linalg::Vector& full_x, Index begin,
-                               Index end, double prior_sigma) {
-  NodeState st;
-  fill_state_from_full(st, full_x, begin, end, prior_sigma);
-  return st;
-}
-
 void fill_state_from_full(NodeState& st, const linalg::Vector& full_x,
                           Index begin, Index end, double prior_sigma) {
   PHMSE_CHECK(begin >= 0 && begin <= end &&

@@ -50,14 +50,10 @@ NodeState make_initial_state(const mol::Topology& topology, Index begin,
                              Index end, double prior_sigma,
                              double perturb_sigma, Rng& rng);
 
-/// Slices a full-molecule state vector into [begin, end) with the spherical
-/// prior; used to give every hierarchy leaf a consistent starting point.
-NodeState make_state_from_full(const linalg::Vector& full_x, Index begin,
-                               Index end, double prior_sigma);
-
-/// In-place variant of make_state_from_full: refills `st` from `full_x`
-/// reusing its existing x/C capacity, so a leaf state that persists across
-/// solves never reallocates.
+/// Refills `st` with the slice [begin, end) of a full-molecule state vector
+/// and the spherical prior; gives every hierarchy leaf a consistent starting
+/// point.  Reuses the existing x/C capacity, so a leaf state that persists
+/// across solves never reallocates.
 void fill_state_from_full(NodeState& st, const linalg::Vector& full_x,
                           Index begin, Index end, double prior_sigma);
 

@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "constraints/helix_gen.hpp"
-#include "estimation/solver.hpp"
+#include "core/solve_plan.hpp"
 #include "estimation/update.hpp"
 #include "linalg/backend.hpp"
 #include "linalg/blas.hpp"
@@ -176,16 +176,10 @@ TEST(Backend, UnknownNameFailsFastListingValidBackendsAndCpuSupport) {
 }
 
 TEST(Backend, SolveOptionsUnknownBackendFailsFast) {
-  est::NodeState st;
-  st.atom_begin = 0;
-  st.atom_end = 2;
-  st.x.assign(6, 0.0);
-  st.reset_covariance(1.0);
-  cons::ConstraintSet set;
-  par::SerialContext ctx;
-  est::SolveOptions options;
+  core::Hierarchy h = core::build_flat_hierarchy(2);
+  core::HierSolveOptions options;
   options.backend = "cuda";
-  EXPECT_THROW(est::solve_flat(ctx, st, set, options), Error);
+  EXPECT_THROW(core::SolvePlan(h, options), Error);
 }
 
 // -- storage alignment (the microkernels' aligned-load guarantee) -----------

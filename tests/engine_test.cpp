@@ -1,16 +1,17 @@
 // The phmse::Engine facade: compile-once / solve-many.  These tests pin
-// the facade to the legacy one-shot entry points (a compiled plan must
-// produce bitwise the numbers solve_hierarchical{,_sim} produce) and
-// exercise the plan-reuse surface: repeated solves, rescheduling,
-// observation rebinding, compile timings, and the describe() dump.
+// the facade to the core plan it wraps (a compiled plan must produce
+// bitwise the numbers a core::SolvePlan over a hand-prepared hierarchy
+// produces) and exercise the plan-reuse surface: repeated solves,
+// rescheduling, observation rebinding, compile timings, and the
+// describe() dump.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "constraints/helix_gen.hpp"
 #include "core/assign.hpp"
-#include "core/hier_solver.hpp"
 #include "core/schedule.hpp"
+#include "core/solve_plan.hpp"
 #include "core/work_model.hpp"
 #include "engine/engine.hpp"
 #include "linalg/backend.hpp"
@@ -61,7 +62,7 @@ TEST(Engine, CompileProducesAUsablePlan) {
             f.model.topology.rmsd_to_truth(f.initial));
 }
 
-TEST(Engine, SerialSolveIsBitwiseTheLegacySolver) {
+TEST(Engine, SerialSolveIsBitwiseTheCorePlan) {
   Fixture f;
   const CompileOptions opts = Fixture::options();
   Plan plan = Engine::compile(f.problem(), opts);
@@ -72,20 +73,21 @@ TEST(Engine, SerialSolveIsBitwiseTheLegacySolver) {
   core::estimate_work(h, core::WorkModel{}, opts.solve.batch_size);
   core::assign_processors(h, 1);
   par::SerialContext ctx;
-  const core::HierSolveResult legacy =
-      core::solve_hierarchical(ctx, h, f.initial, opts.solve);
+  core::SolvePlan core_plan(h, opts.solve);
+  const core::PlanRunStats stats = core_plan.run(ctx, f.initial);
+  const est::NodeState& direct = core_plan.root_state();
 
-  ASSERT_EQ(res.posterior().x.size(), legacy.state.x.size());
-  for (std::size_t i = 0; i < legacy.state.x.size(); ++i) {
-    EXPECT_EQ(res.posterior().x[i], legacy.state.x[i]) << "coord " << i;
+  ASSERT_EQ(res.posterior().x.size(), direct.x.size());
+  for (std::size_t i = 0; i < direct.x.size(); ++i) {
+    EXPECT_EQ(res.posterior().x[i], direct.x[i]) << "coord " << i;
   }
-  EXPECT_EQ(res.cycles, legacy.cycles);
-  EXPECT_EQ(res.last_cycle_delta, legacy.last_cycle_delta);
-  EXPECT_EQ(res.converged, legacy.converged);
-  EXPECT_EQ(res.posterior().c.frobenius_distance(legacy.state.c), 0.0);
+  EXPECT_EQ(res.cycles, stats.cycles);
+  EXPECT_EQ(res.last_cycle_delta, stats.last_cycle_delta);
+  EXPECT_EQ(res.converged, stats.converged);
+  EXPECT_EQ(res.posterior().c.frobenius_distance(direct.c), 0.0);
 }
 
-TEST(Engine, SimulatedSolveIsBitwiseTheLegacySimSolver) {
+TEST(Engine, SimulatedSolveIsBitwiseTheCorePlan) {
   Fixture f;
   const CompileOptions opts = Fixture::options(2, 4);
   Plan plan = Engine::compile(f.problem(), opts);
@@ -98,12 +100,13 @@ TEST(Engine, SimulatedSolveIsBitwiseTheLegacySimSolver) {
   core::estimate_work(h, core::WorkModel{}, opts.solve.batch_size);
   core::assign_processors(h, 4);
   simarch::SimMachine machine2(simarch::generic(8));
-  const core::SimSolveResult legacy =
-      core::solve_hierarchical_sim(h, f.initial, opts.solve, machine2);
+  core::SolvePlan core_plan(h, opts.solve);
+  const core::PlanRunStats stats = core_plan.run(machine2, f.initial);
 
-  EXPECT_EQ(res.vtime, legacy.vtime);
-  for (std::size_t i = 0; i < legacy.result.state.x.size(); ++i) {
-    EXPECT_EQ(res.posterior().x[i], legacy.result.state.x[i]);
+  EXPECT_EQ(res.vtime, stats.vtime);
+  EXPECT_EQ(res.vtime, machine2.elapsed());
+  for (std::size_t i = 0; i < core_plan.root_state().x.size(); ++i) {
+    EXPECT_EQ(res.posterior().x[i], core_plan.root_state().x[i]);
   }
 }
 

@@ -11,8 +11,8 @@
 
 #include "constraints/helix_gen.hpp"
 #include "core/assign.hpp"
-#include "core/hier_solver.hpp"
 #include "core/schedule.hpp"
+#include "core/solve_plan.hpp"
 #include "core/work_model.hpp"
 #include "engine/engine.hpp"
 #include "estimation/update.hpp"
@@ -75,7 +75,9 @@ TEST_P(LinearEquivalence, HierarchicalEqualsFlatForLinearData) {
   hopts.batch_size = 4;
   hopts.prior_sigma = 1.5;
   par::SerialContext ctx1;
-  const HierSolveResult hier = solve_hierarchical(ctx1, h, x0, hopts);
+  SolvePlan plan(h, hopts);
+  plan.run(ctx1, x0);
+  const est::NodeState& hier = plan.root_state();
 
   // Flat application of the identical sequence.
   est::NodeState flat;
@@ -89,9 +91,9 @@ TEST_P(LinearEquivalence, HierarchicalEqualsFlatForLinearData) {
 
   // With linear measurements the two computations are the same numbers.
   for (std::size_t i = 0; i < flat.x.size(); ++i) {
-    EXPECT_NEAR(hier.state.x[i], flat.x[i], 1e-10) << "coord " << i;
+    EXPECT_NEAR(hier.x[i], flat.x[i], 1e-10) << "coord " << i;
   }
-  EXPECT_LT(hier.state.c.frobenius_distance(flat.c), 1e-9);
+  EXPECT_LT(hier.c.frobenius_distance(flat.c), 1e-9);
 }
 
 TEST(LinearEquivalenceCross, BoundarySpanningConstraintsMatchToo) {
@@ -131,7 +133,9 @@ TEST(LinearEquivalenceCross, BoundarySpanningConstraintsMatchToo) {
   hopts.batch_size = 2;
   hopts.prior_sigma = 1.0;
   par::SerialContext ctx1;
-  const HierSolveResult hier = solve_hierarchical(ctx1, h, x0, hopts);
+  SolvePlan plan(h, hopts);
+  plan.run(ctx1, x0);
+  const est::NodeState& hier = plan.root_state();
 
   est::NodeState flat;
   flat.atom_begin = 0;
@@ -143,9 +147,9 @@ TEST(LinearEquivalenceCross, BoundarySpanningConstraintsMatchToo) {
   updater.apply_all(ctx2, flat, ordered, 2, 0);
 
   for (std::size_t i = 0; i < flat.x.size(); ++i) {
-    EXPECT_NEAR(hier.state.x[i], flat.x[i], 1e-10);
+    EXPECT_NEAR(hier.x[i], flat.x[i], 1e-10);
   }
-  EXPECT_LT(hier.state.c.frobenius_distance(flat.c), 1e-9);
+  EXPECT_LT(hier.c.frobenius_distance(flat.c), 1e-9);
 }
 
 TEST(LinearEquivalence, NonlinearDataIsExactTooWhenOrderMatches) {
@@ -181,7 +185,9 @@ TEST(LinearEquivalence, NonlinearDataIsExactTooWhenOrderMatches) {
   hopts.batch_size = 4;
   hopts.prior_sigma = 0.5;
   par::SerialContext ctx1;
-  const HierSolveResult hier = solve_hierarchical(ctx1, h, x0, hopts);
+  SolvePlan plan(h, hopts);
+  plan.run(ctx1, x0);
+  const est::NodeState& hier = plan.root_state();
 
   est::NodeState flat;
   flat.atom_begin = 0;
@@ -193,9 +199,9 @@ TEST(LinearEquivalence, NonlinearDataIsExactTooWhenOrderMatches) {
   updater.apply_all(ctx2, flat, ordered, 4, 0);
 
   for (std::size_t i = 0; i < flat.x.size(); ++i) {
-    EXPECT_NEAR(hier.state.x[i], flat.x[i], 1e-12);
+    EXPECT_NEAR(hier.x[i], flat.x[i], 1e-12);
   }
-  EXPECT_LT(hier.state.c.frobenius_distance(flat.c), 1e-10);
+  EXPECT_LT(hier.c.frobenius_distance(flat.c), 1e-10);
 }
 
 TEST(LinearEquivalence, DifferentOrderDivergesForNonlinearData) {
@@ -229,7 +235,9 @@ TEST(LinearEquivalence, DifferentOrderDivergesForNonlinearData) {
   hopts.batch_size = 4;
   hopts.prior_sigma = 0.5;
   par::SerialContext ctx1;
-  const HierSolveResult hier = solve_hierarchical(ctx1, h, x0, hopts);
+  SolvePlan plan(h, hopts);
+  plan.run(ctx1, x0);
+  const est::NodeState& hier = plan.root_state();
 
   // Reversed constraint order.
   cons::ConstraintSet reversed;
@@ -245,7 +253,7 @@ TEST(LinearEquivalence, DifferentOrderDivergesForNonlinearData) {
 
   double max_diff = 0.0;
   for (std::size_t i = 0; i < flat.x.size(); ++i) {
-    max_diff = std::max(max_diff, std::abs(hier.state.x[i] - flat.x[i]));
+    max_diff = std::max(max_diff, std::abs(hier.x[i] - flat.x[i]));
   }
   EXPECT_GT(max_diff, 1e-12);  // genuinely different paths...
   // ...to answers within the prior's reach of each other (the chain has
@@ -256,8 +264,8 @@ TEST(LinearEquivalence, DifferentOrderDivergesForNonlinearData) {
 TEST(PlanEquivalence, RepeatedAndThreadedSolvesMatchAFreshRunBitwise) {
   // The plan/execute split must be invisible in the numbers: one compiled
   // plan solved twice (buffers warm the second time), the same plan solved
-  // on real threads, and a fresh end-to-end solve_hierarchical run all
-  // produce bitwise identical posteriors.
+  // on real threads, and a fresh core plan over a hand-prepared hierarchy
+  // all produce bitwise identical posteriors.
   mol::HelixModel model = mol::build_helix(2);
   const cons::ConstraintSet set = cons::generate_helix_constraints(model);
   Rng rng(11);
@@ -276,31 +284,33 @@ TEST(PlanEquivalence, RepeatedAndThreadedSolvesMatchAFreshRunBitwise) {
   copts.processors = 4;
   engine::Plan plan = engine::Engine::compile(problem, copts);
 
-  // Fresh end-to-end run through the legacy one-shot entry point.
+  // Fresh run of a core plan compiled by hand.
   Hierarchy h = build_helix_hierarchy(model);
   assign_constraints(h, set);
   estimate_work(h, WorkModel{}, opts.batch_size);
   assign_processors(h, 4);
   par::SerialContext ctx;
-  const HierSolveResult fresh = solve_hierarchical(ctx, h, x0, opts);
+  SolvePlan fresh_plan(h, opts);
+  fresh_plan.run(ctx, x0);
+  const est::NodeState& fresh = fresh_plan.root_state();
 
   const engine::Result first = plan.solve(x0);
-  EXPECT_EQ(first.posterior().x, fresh.state.x);
-  EXPECT_EQ(first.posterior().c, fresh.state.c);
+  EXPECT_EQ(first.posterior().x, fresh.x);
+  EXPECT_EQ(first.posterior().c, fresh.c);
 
   const engine::Result second = plan.solve(x0);
-  EXPECT_EQ(second.posterior().x, fresh.state.x);
-  EXPECT_EQ(second.posterior().c, fresh.state.c);
+  EXPECT_EQ(second.posterior().x, fresh.x);
+  EXPECT_EQ(second.posterior().c, fresh.c);
 
   par::ThreadPool pool(4);
   const engine::Result threaded = plan.solve(pool, x0);
-  EXPECT_EQ(threaded.posterior().x, fresh.state.x);
-  EXPECT_EQ(threaded.posterior().c, fresh.state.c);
+  EXPECT_EQ(threaded.posterior().x, fresh.x);
+  EXPECT_EQ(threaded.posterior().c, fresh.c);
 
   // And the plan is not poisoned by the threaded pass: serial again.
   const engine::Result again = plan.solve(x0);
-  EXPECT_EQ(again.posterior().x, fresh.state.x);
-  EXPECT_EQ(again.posterior().c, fresh.state.c);
+  EXPECT_EQ(again.posterior().x, fresh.x);
+  EXPECT_EQ(again.posterior().c, fresh.c);
 }
 
 TEST(PlanEquivalence, FaultPoliciesAreBitwiseInvisibleOnCleanData) {

@@ -6,8 +6,8 @@
 #include "constraints/helix_gen.hpp"
 #include "core/assign.hpp"
 #include "core/graph_partition.hpp"
-#include "core/hier_solver.hpp"
 #include "core/schedule.hpp"
+#include "core/solve_plan.hpp"
 #include "core/work_model.hpp"
 #include "molecule/rna_helix.hpp"
 #include "support/rng.hpp"
@@ -168,23 +168,23 @@ TEST(GraphPartition, SolvingInPartitionedOrderMatchesOriginal) {
   // Original order, user-specified Fig.-2 hierarchy.
   Hierarchy h1 = build_helix_hierarchy(model);
   assign_constraints(h1, set);
-  par::SerialContext ctx1;
-  const HierSolveResult r1 = solve_hierarchical(ctx1, h1, x0, opts);
+  par::SerialContext ctx;
+  SolvePlan p1(h1, opts);
+  p1.run(ctx, x0);
 
   // Graph-partitioned order.
   Decomposition d = decompose_by_graph_partition(model.num_atoms(), set);
   Hierarchy h2 = std::move(d.hierarchy);
   const cons::ConstraintSet remapped = remap_constraints(set, d.rank);
   assign_constraints(h2, remapped);
-  par::SerialContext ctx2;
-  const HierSolveResult r2 =
-      solve_hierarchical(ctx2, h2, remap_state(x0, d.order), opts);
-  const linalg::Vector back = unmap_state(r2.state.x, d.order);
+  SolvePlan p2(h2, opts);
+  p2.run(ctx, remap_state(x0, d.order));
+  const linalg::Vector back = unmap_state(p2.root_state().x, d.order);
 
   // Different constraint application orders => different round-off paths
   // and linearization points, but both must land at comparable fits.
   const double res1 =
-      cons::rms_residual(set, model.topology, r1.state.x);
+      cons::rms_residual(set, model.topology, p1.root_state().x);
   const double res2 = cons::rms_residual(set, model.topology, back);
   EXPECT_NEAR(res1, res2, 0.05);
 }

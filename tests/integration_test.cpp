@@ -6,10 +6,9 @@
 #include "constraints/helix_gen.hpp"
 #include "constraints/ribo_gen.hpp"
 #include "core/assign.hpp"
-#include "core/hier_solver.hpp"
 #include "core/schedule.hpp"
+#include "core/solve_plan.hpp"
 #include "core/work_model.hpp"
-#include "estimation/solver.hpp"
 #include "molecule/ribo30s.hpp"
 #include "molecule/rna_helix.hpp"
 #include "support/rng.hpp"
@@ -42,9 +41,10 @@ TEST(Integration, HelixPipelineConvergesTowardTruth) {
   HierSolveOptions opts;
   opts.max_cycles = 8;
   opts.prior_sigma = 0.5;
-  const HierSolveResult res = solve_hierarchical(ctx, h, x0, opts);
+  SolvePlan plan(h, opts);
+  plan.run(ctx, x0);
 
-  EXPECT_LT(model.topology.rmsd_to_truth(res.state.x),
+  EXPECT_LT(model.topology.rmsd_to_truth(plan.root_state().x),
             model.topology.rmsd_to_truth(x0));
 }
 
@@ -63,17 +63,14 @@ TEST(Integration, HierarchicalIsFasterThanFlatPerCycle) {
     estimate_work(h, WorkModel{}, 16);
     assign_processors(h, 1);
     par::SerialContext ctx1;
-    solve_hierarchical(ctx1, h, x0, HierSolveOptions{});
+    SolvePlan(h, HierSolveOptions{}).run(ctx1, x0);
     const double t_hier = sw.seconds();
 
     sw.reset();
-    est::NodeState flat;
-    flat.atom_begin = 0;
-    flat.atom_end = model.num_atoms();
-    flat.x = x0;
-    flat.reset_covariance(10.0);
+    Hierarchy flat = build_flat_hierarchy(model.num_atoms());
+    assign_constraints(flat, set);
     par::SerialContext ctx2;
-    est::solve_flat(ctx2, flat, set, est::SolveOptions{});
+    SolvePlan(flat, HierSolveOptions{}).run(ctx2, x0);
     const double t_flat = sw.seconds();
     return std::pair<double, double>{t_hier, t_flat};
   };
@@ -106,10 +103,9 @@ TEST(Integration, RiboPipelineRunsOnSimulatedDash) {
   simarch::SimMachine machine(simarch::dash32());
   HierSolveOptions opts;
   opts.max_cycles = 2;
-  const SimSolveResult res = solve_hierarchical_sim(h, x0, opts, machine);
-
-  EXPECT_GT(res.vtime, 0.0);
-  EXPECT_LT(model.topology.rmsd_to_truth(res.result.state.x),
+  SolvePlan plan(h, opts);
+  EXPECT_GT(plan.run(machine, x0).vtime, 0.0);
+  EXPECT_LT(model.topology.rmsd_to_truth(plan.root_state().x),
             model.topology.rmsd_to_truth(x0));
 }
 
@@ -131,15 +127,17 @@ TEST(Integration, RiboProteinAnchorsPinTheFrame) {
   par::SerialContext ctx;
   HierSolveOptions opts;
   opts.max_cycles = 12;
-  const HierSolveResult res = solve_hierarchical(ctx, h, x0, opts);
+  SolvePlan plan(h, opts);
+  plan.run(ctx, x0);
+  const est::NodeState& res = plan.root_state();
 
   // Protein pseudo-atoms end close to their neutron-map positions.
   for (const mol::Segment& s : model.segments) {
     if (s.kind != mol::Segment::Kind::kProtein) continue;
     const Index i = 3 * s.begin;
-    const mol::Vec3 est{res.state.x[static_cast<std::size_t>(i)],
-                        res.state.x[static_cast<std::size_t>(i + 1)],
-                        res.state.x[static_cast<std::size_t>(i + 2)]};
+    const mol::Vec3 est{res.x[static_cast<std::size_t>(i)],
+                        res.x[static_cast<std::size_t>(i + 1)],
+                        res.x[static_cast<std::size_t>(i + 2)]};
     EXPECT_LT(mol::distance(est, model.topology.atom(s.begin).position),
               2.0);
   }
@@ -167,8 +165,9 @@ TEST(Integration, ChemistryAnglesPipelineWorks) {
   HierSolveOptions opts;
   opts.max_cycles = 6;
   opts.prior_sigma = 0.5;
-  const HierSolveResult res = solve_hierarchical(ctx, h, x0, opts);
-  EXPECT_LT(cons::rms_residual(set, model.topology, res.state.x),
+  SolvePlan plan(h, opts);
+  plan.run(ctx, x0);
+  EXPECT_LT(cons::rms_residual(set, model.topology, plan.root_state().x),
             cons::rms_residual(set, model.topology, x0));
 }
 
@@ -185,10 +184,11 @@ TEST(Integration, UncertaintyShrinksWhereDataIsDense) {
   par::SerialContext ctx;
   HierSolveOptions opts;
   opts.prior_sigma = 10.0;
-  const HierSolveResult res =
-      solve_hierarchical(ctx, h, perturbed(model.topology, 0.2, 5), opts);
-  for (Index i = 0; i < res.state.dim(); ++i) {
-    EXPECT_LT(res.state.c(i, i), 10.0);  // prior variance was 100
+  SolvePlan plan(h, opts);
+  plan.run(ctx, perturbed(model.topology, 0.2, 5));
+  const est::NodeState& res = plan.root_state();
+  for (Index i = 0; i < res.dim(); ++i) {
+    EXPECT_LT(res.c(i, i), 10.0);  // prior variance was 100
   }
 }
 

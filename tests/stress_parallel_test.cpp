@@ -16,8 +16,8 @@
 
 #include "constraints/helix_gen.hpp"
 #include "core/assign.hpp"
-#include "core/hier_solver.hpp"
 #include "core/schedule.hpp"
+#include "core/solve_plan.hpp"
 #include "core/work_model.hpp"
 #include "molecule/rna_helix.hpp"
 #include "parallel/task_group.hpp"
@@ -32,8 +32,8 @@ namespace phmse {
 namespace {
 
 using core::HierSolveOptions;
-using core::HierSolveResult;
 using core::Hierarchy;
+using core::SolvePlan;
 using par::KernelStats;
 using par::TaskGroup;
 using par::TeamContext;
@@ -334,8 +334,8 @@ TEST(StressSolver, ThrowingConstraintBodySurfacesAsErrorAndPoolSurvives) {
   const Problem p = helix_problem(2);
   par::SerialContext sctx;
   Hierarchy h1 = prepared_hierarchy(p, 1);
-  const HierSolveResult serial =
-      core::solve_hierarchical(sctx, h1, p.initial, HierSolveOptions{});
+  SolvePlan serial(h1, HierSolveOptions{});
+  serial.run(sctx, p.initial);
 
   for (int procs : {2, 4}) {
     ThreadPool pool(procs);
@@ -355,18 +355,18 @@ TEST(StressSolver, ThrowingConstraintBodySurfacesAsErrorAndPoolSurvives) {
     poison.kind = static_cast<cons::Kind>(99);
     victim->constraints.add(poison);
 
-    EXPECT_THROW(core::solve_hierarchical_threaded(bad, p.initial,
-                                                   HierSolveOptions{}, pool),
-                 Error)
-        << "procs=" << procs;
+    SolvePlan bad_plan(bad, HierSolveOptions{});
+    EXPECT_THROW(bad_plan.run(pool, p.initial), Error) << "procs=" << procs;
 
     // The pool must be fully usable afterwards: a clean solve on the same
     // pool still matches the serial numerics bitwise.
     Hierarchy good = prepared_hierarchy(p, procs);
-    const HierSolveResult threaded = core::solve_hierarchical_threaded(
-        good, p.initial, HierSolveOptions{}, pool);
-    EXPECT_EQ(threaded.state.x, serial.state.x) << "procs=" << procs;
-    EXPECT_EQ(threaded.state.c, serial.state.c) << "procs=" << procs;
+    SolvePlan threaded(good, HierSolveOptions{});
+    threaded.run(pool, p.initial);
+    EXPECT_EQ(threaded.root_state().x, serial.root_state().x)
+        << "procs=" << procs;
+    EXPECT_EQ(threaded.root_state().c, serial.root_state().c)
+        << "procs=" << procs;
   }
 }
 
@@ -376,18 +376,19 @@ TEST(StressSolver, RepeatedThreadedSolvesStayBitwiseEqualToSerial) {
   Hierarchy h1 = prepared_hierarchy(p, 1);
   HierSolveOptions opts;
   opts.max_cycles = 2;
-  const HierSolveResult serial =
-      core::solve_hierarchical(sctx, h1, p.initial, opts);
+  SolvePlan serial(h1, opts);
+  serial.run(sctx, p.initial);
 
   for (int procs : {2, 3, 4}) {
     Hierarchy h = prepared_hierarchy(p, procs);
     ThreadPool pool(procs);
     for (int rep = 0; rep < 3; ++rep) {
-      const HierSolveResult threaded =
-          core::solve_hierarchical_threaded(h, p.initial, opts, pool);
-      EXPECT_EQ(threaded.state.x, serial.state.x)
+      // Each repetition compiles a fresh plan over the same hierarchy.
+      SolvePlan threaded(h, opts);
+      threaded.run(pool, p.initial);
+      EXPECT_EQ(threaded.root_state().x, serial.root_state().x)
           << "procs=" << procs << " rep=" << rep;
-      EXPECT_EQ(threaded.state.c, serial.state.c)
+      EXPECT_EQ(threaded.root_state().c, serial.root_state().c)
           << "procs=" << procs << " rep=" << rep;
     }
   }

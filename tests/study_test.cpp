@@ -95,6 +95,16 @@ TEST(SpeedupStudy, RestoresThePlanSchedule) {
   ASSERT_EQ(plan.processors(), 1);
   run_speedup_study(plan, f.initial, simarch::generic(8), {2, 4, 8});
   EXPECT_EQ(plan.processors(), 1);
+
+  // A solve that throws (a wrong-sized initial state) must not leave the
+  // plan at the processor count it was trying.
+  const linalg::Vector wrong(5, 0.0);
+  EXPECT_THROW(
+      run_speedup_study(plan, wrong, simarch::generic(8), {2, 4, 8}),
+      phmse::Error);
+  EXPECT_EQ(plan.processors(), 1);
+  EXPECT_EQ(plan.hierarchy().root().proc_count, 1);
+  EXPECT_EQ(plan.solve(f.initial).posterior().x.size(), f.initial.size());
 }
 
 TEST(SpeedupStudy, MatchesAFreshlyCompiledPlanBitwise) {

@@ -274,7 +274,8 @@ TEST(NodeState, MakeInitialStatePerturbsTruth) {
 
 TEST(NodeState, MakeStateFromFullSlices) {
   linalg::Vector full{1, 2, 3, 4, 5, 6, 7, 8, 9};
-  const NodeState st = make_state_from_full(full, 1, 3, 2.0);
+  NodeState st;
+  fill_state_from_full(st, full, 1, 3, 2.0);
   EXPECT_EQ(st.atom_begin, 1);
   EXPECT_EQ(st.dim(), 6);
   EXPECT_DOUBLE_EQ(st.x[0], 4.0);
