@@ -30,10 +30,9 @@ double measure(const HelixProblem& p, Index m, Index budget,
   const Index total = p.constraints.size();
   const Index count = std::min(budget, total);
   const Index stride = std::max<Index>(1, total / count);
-  std::vector<cons::Constraint> sample;
-  sample.reserve(static_cast<std::size_t>(count));
+  cons::ConstraintSet sample;
   for (Index i = 0; i < count; ++i) {
-    sample.push_back(p.constraints[(i * stride) % total]);
+    sample.add(p.constraints[(i * stride) % total]);
   }
 
   par::SerialContext ctx;
@@ -42,13 +41,7 @@ double measure(const HelixProblem& p, Index m, Index budget,
   Index processed = 0;
   do {
     state.reset_covariance(1.0);
-    for (Index start = 0; start < count; start += m) {
-      const Index len = std::min(m, count - start);
-      updater.apply(ctx, state,
-                    std::span<const cons::Constraint>(
-                        sample.data() + start,
-                        static_cast<std::size_t>(len)));
-    }
+    updater.apply_all(ctx, state, sample, m);
     processed += count;
   } while (sw.seconds() < min_seconds);
   return sw.seconds() / static_cast<double>(processed);

@@ -65,7 +65,7 @@ void BM_CovarianceDowndate(benchmark::State& state) {
   Matrix c = random_spd(n, rng);
   par::SerialContext ctx;
   for (auto _ : state) {
-    covariance_downdate(ctx, w, w, c);
+    covariance_downdate(ctx, w, c);
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(state.iterations() * m * n * n * 2);

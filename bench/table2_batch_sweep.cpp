@@ -22,8 +22,9 @@ namespace {
 
 // Measures seconds per scalar constraint for one node: applies a stride
 // sample of `budget` constraints (spread over the whole molecule, like the
-// paper's per-node measurements) in batches of `m`, sweeping repeatedly
-// until at least `min_seconds` have been timed.
+// paper's per-node measurements) in batches of `m` as one apply_all sweep
+// (so the sweep's closing covariance mirror is paid once, as a node pays
+// it), sweeping repeatedly until at least `min_seconds` have been timed.
 double measure(const HelixProblem& p, Index m, Index budget,
                double min_seconds = 0.04) {
   est::NodeState state;
@@ -34,10 +35,9 @@ double measure(const HelixProblem& p, Index m, Index budget,
   const Index total = p.constraints.size();
   const Index count = std::min(budget, total);
   const Index stride = std::max<Index>(1, total / count);
-  std::vector<cons::Constraint> sample;
-  sample.reserve(static_cast<std::size_t>(count));
+  cons::ConstraintSet sample;
   for (Index i = 0; i < count; ++i) {
-    sample.push_back(p.constraints[(i * stride) % total]);
+    sample.add(p.constraints[(i * stride) % total]);
   }
 
   par::SerialContext ctx;
@@ -47,13 +47,7 @@ double measure(const HelixProblem& p, Index m, Index budget,
   Index processed = 0;
   do {
     state.reset_covariance(1.0);
-    for (Index start = 0; start < count; start += m) {
-      const Index len = std::min(m, count - start);
-      updater.apply(ctx, state,
-                    std::span<const cons::Constraint>(
-                        sample.data() + start,
-                        static_cast<std::size_t>(len)));
-    }
+    updater.apply_all(ctx, state, sample, m);
     processed += count;
   } while (sw.seconds() < min_seconds);
   return sw.seconds() / static_cast<double>(processed);

@@ -304,8 +304,7 @@ void SolvePlan::update_node_(par::ExecContext& ctx, NodeWork& w,
   }
   w.sweep_report.clear();
   w.updater.apply_all(ctx, w.state, node.constraints, options_.batch_size,
-                      options_.symmetrize_every, options_.policy,
-                      &w.sweep_report);
+                      options_.policy, &w.sweep_report);
   w.report.merge_from(w.sweep_report);
 }
 

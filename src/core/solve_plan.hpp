@@ -65,8 +65,6 @@ struct HierSolveOptions {
   /// cycles (large priors let early batches overshoot their linearization
   /// region); ~1 Angstrom works well for molecular data.
   double prior_sigma = 1.0;
-  /// Symmetrize C every this many batches (0 = never).
-  Index symmetrize_every = 64;
   /// Degradation policy for numerically failing batches (DESIGN.md §9).
   /// The default (abort) throws on the first failure, exactly as solves
   /// always have.

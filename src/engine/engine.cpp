@@ -19,8 +19,12 @@ namespace phmse::engine {
 namespace {
 
 // Eq.-1 calibration: time the Fig.-1 batch update on short synthetic
-// distance batches at a few representative node sizes, and fit the
+// distance sweeps at a few representative node sizes, and fit the
 // constrained least-squares model to the measured per-constraint costs.
+// Sweeps go through apply_all, as a plan's node sweeps do, and are as many
+// batches long as this hierarchy's node sweeps are on average, so the
+// closing lower-to-upper mirror is amortized the way a solve pays it (a
+// standalone apply() would pay it on every batch).
 // Degenerate fits (all-zero model) fall back to the caller's coefficients.
 core::WorkModel calibrate_work_model(core::Hierarchy& hierarchy,
                                      const core::HierSolveOptions& solve,
@@ -29,12 +33,26 @@ core::WorkModel calibrate_work_model(core::Hierarchy& hierarchy,
   // so calibration stays cheap even for ribosome-sized roots (Eq. 1 is a
   // polynomial; moderate sizes identify its coefficients).
   constexpr Index kDimCap = 240;
+  const Index m_full = std::max<Index>(solve.batch_size, 1);
   Index dim_min = std::numeric_limits<Index>::max();
   Index dim_max = 0;
+  Index node_batches = 0;   // batches over every node's sweep
+  Index sweeping_nodes = 0;  // nodes with constraints to sweep
   hierarchy.for_each_post_order([&](core::HierNode& node) {
     dim_min = std::min(dim_min, node.dim());
     dim_max = std::max(dim_max, node.dim());
+    const Index count = node.constraints.size();
+    if (count > 0) {
+      node_batches += (count + m_full - 1) / m_full;
+      ++sweeping_nodes;
+    }
   });
+  // Batches per timed sweep: the mean over the sweeping nodes, rounded.
+  const Index sweep_batches =
+      sweeping_nodes > 0
+          ? std::max<Index>(1, (node_batches + sweeping_nodes / 2) /
+                                   sweeping_nodes)
+          : 1;
   dim_min = std::clamp<Index>(dim_min, 6, kDimCap);
   dim_max = std::clamp<Index>(dim_max, dim_min, kDimCap);
 
@@ -44,7 +62,6 @@ core::WorkModel calibrate_work_model(core::Hierarchy& hierarchy,
     dims.insert(dims.begin() + 1, 3 * ((dim_min + dim_max) / 6));
   }
 
-  const Index m_full = std::max<Index>(solve.batch_size, 1);
   std::vector<Index> batch_dims{m_full};
   if (m_full >= 4) batch_dims.push_back(m_full / 2);
 
@@ -63,29 +80,32 @@ core::WorkModel calibrate_work_model(core::Hierarchy& hierarchy,
     state.reset_covariance(solve.prior_sigma);
 
     for (Index m : batch_dims) {
-      std::vector<cons::Constraint> batch(static_cast<std::size_t>(m));
-      for (Index j = 0; j < m; ++j) {
-        cons::Constraint& c = batch[static_cast<std::size_t>(j)];
-        c.kind = cons::Kind::kDistance;
-        const Index a = j % (atoms - 1);
-        c.atoms = {a, a + 1, 0, 0};
-        c.observed = 1.5;
-        c.variance = 0.01;
+      cons::ConstraintSet sweep;
+      for (Index b = 0; b < sweep_batches; ++b) {
+        for (Index j = 0; j < m; ++j) {
+          cons::Constraint c;
+          c.kind = cons::Kind::kDistance;
+          const Index a = j % (atoms - 1);
+          c.atoms = {a, a + 1, 0, 0};
+          c.observed = 1.5;
+          c.variance = 0.01;
+          sweep.add(c);
+        }
       }
       est::BatchUpdater updater;
       // Calibrate against the backend the compiled plan will dispatch
       // through, not whatever the process default happens to be.
       updater.set_backend(
           &linalg::resolve_backend(solve.backend, "HierSolveOptions.backend"));
-      updater.apply(ctx, state, batch);  // warm the scratch buffers
+      updater.apply_all(ctx, state, sweep, m);  // warm the scratch buffers
       Stopwatch sw;
       int reps = 0;
       do {
-        updater.apply(ctx, state, batch);
+        updater.apply_all(ctx, state, sweep, m);
         ++reps;
       } while (sw.seconds() < kMinSeconds);
-      const double per = sw.seconds() /
-                         (static_cast<double>(reps) * static_cast<double>(m));
+      const double per = sw.seconds() / (static_cast<double>(reps) *
+                                         static_cast<double>(sweep.size()));
       samples.push_back({static_cast<double>(n), static_cast<double>(m), per});
       state.reset_covariance(solve.prior_sigma);
     }

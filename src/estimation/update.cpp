@@ -94,6 +94,18 @@ BatchOutcome BatchUpdater::apply(par::ExecContext& ctx, NodeState& state,
                                  std::span<const cons::Constraint> batch,
                                  const SolvePolicy& policy,
                                  Index batch_index) {
+  const BatchOutcome out =
+      apply_lower_(ctx, state, batch, policy, batch_index,
+                   /*stale_upper=*/false);
+  if (out.applied()) linalg::mirror_lower(ctx, state.c);
+  return out;
+}
+
+BatchOutcome BatchUpdater::apply_lower_(par::ExecContext& ctx,
+                                        NodeState& state,
+                                        std::span<const cons::Constraint> batch,
+                                        const SolvePolicy& policy,
+                                        Index batch_index, bool stale_upper) {
   BatchOutcome out;
   if (batch.empty()) return out;
   const Index n = state.dim();
@@ -124,6 +136,20 @@ BatchOutcome BatchUpdater::apply(par::ExecContext& ctx, NodeState& state,
   const linalg::Backend& be =
       backend_ != nullptr ? *backend_ : linalg::default_backend();
 
+  if (stale_upper) {
+    // Mid-sweep the upper triangle lags the lower one; G = H C reads whole
+    // rows of C, so bring just the rows H touches up to date.  Only upper
+    // entries are written, each with its mirror value.
+    touched_.clear();
+    for (Index j = 0; j < m; ++j) {
+      const auto cols = h_.row_indices(j);
+      touched_.insert(touched_.end(), cols.begin(), cols.end());
+    }
+    std::sort(touched_.begin(), touched_.end());
+    touched_.erase(std::unique(touched_.begin(), touched_.end()),
+                   touched_.end());
+    linalg::mirror_lower_rows(ctx, touched_, state.c);    //               vec
+  }
   be.sparse_dense(ctx, h_, state.c, g_);                  // G = H C       d-s
 
   // Factor S = L L^T under the policy's retry ladder.  The first attempt
@@ -200,7 +226,7 @@ BatchOutcome BatchUpdater::apply(par::ExecContext& ctx, NodeState& state,
   dx_.assign(static_cast<std::size_t>(n), 0.0);
   be.gain_times_residual(ctx, g_, w_, dx_);          // dx = W^T w        m-v
   linalg::vec_add_inplace(ctx, dx_, state.x);        // x += dx           vec
-  be.covariance_downdate(ctx, g_, g_, state.c);      // C -= W^T W        m-v
+  be.covariance_downdate(ctx, g_, state.c);          // C -= W^T W  (i>=j) m-v
   return out;
 }
 
@@ -245,12 +271,14 @@ void BatchUpdater::reserve(Index max_m, Index n) {
   s_.resize(max_m, max_m);
   g_.resize(0, 0);
   s_.resize(0, 0);
+  // The rows H reads, listed once per Jacobian nonzero before the sort
+  // and unique in apply_lower_.
+  touched_.reserve(static_cast<std::size_t>(max_m * kMaxRowNnz));
 }
 
 void BatchUpdater::apply_all(par::ExecContext& ctx, NodeState& state,
                              const cons::ConstraintSet& set, Index batch_size,
-                             Index symmetrize_every, const SolvePolicy& policy,
-                             NodeReport* report) {
+                             const SolvePolicy& policy, NodeReport* report) {
   PHMSE_CHECK(batch_size >= 1, "batch size must be >= 1");
   const auto& all = set.all();
   // (Re)size the applied-Jacobian archive for this set; the sizes are
@@ -262,27 +290,37 @@ void BatchUpdater::apply_all(par::ExecContext& ctx, NodeState& state,
   arch_vals_.resize(slots);
   arch_len_.assign(static_cast<std::size_t>(set.size()), -1);
   Index applied_batches = 0;
-  for (Index start = 0; start < set.size(); start += batch_size) {
-    // Batch-boundary cancellation poll (DESIGN.md §13): between batches the
-    // state holds only complete per-batch commits (apply is transactional),
-    // so this is the finest point where an abort cannot tear anything.
-    if (ctx.cancel_pending()) {
-      par::throw_cancelled(*ctx.cancel_token(), state.atom_begin,
-                           state.atom_end, applied_batches);
+  // True once a batch has downdated C, i.e. while its upper triangle lags
+  // the lower one and needs the closing mirror.
+  bool stale_upper = false;
+  try {
+    for (Index start = 0; start < set.size(); start += batch_size) {
+      // Batch-boundary cancellation poll (DESIGN.md §13): between batches
+      // the state holds only complete per-batch commits (apply is
+      // transactional), so this is the finest point where an abort cannot
+      // tear anything.
+      if (ctx.cancel_pending()) {
+        par::throw_cancelled(*ctx.cancel_token(), state.atom_begin,
+                             state.atom_end, applied_batches);
+      }
+      const Index len = std::min(batch_size, set.size() - start);
+      const BatchOutcome out = apply_lower_(
+          ctx, state,
+          std::span<const cons::Constraint>(all.data() + start,
+                                            static_cast<std::size_t>(len)),
+          policy, applied_batches, stale_upper);
+      stale_upper = stale_upper || out.applied();
+      archive_batch_(start, len, out.applied());
+      if (report != nullptr) report->record(applied_batches, out);
+      ++applied_batches;
     }
-    const Index len = std::min(batch_size, set.size() - start);
-    const BatchOutcome out =
-        apply(ctx, state,
-              std::span<const cons::Constraint>(all.data() + start,
-                                                static_cast<std::size_t>(len)),
-              policy, applied_batches);
-    archive_batch_(start, len, out.applied());
-    if (report != nullptr) report->record(applied_batches, out);
-    ++applied_batches;
-    if (symmetrize_every > 0 && applied_batches % symmetrize_every == 0) {
-      linalg::symmetrize(ctx, state.c);
-    }
+  } catch (...) {
+    // Every committed batch stays committed; restore the upper triangle so
+    // the caller never sees a half-symmetric C.
+    if (stale_upper) linalg::mirror_lower(ctx, state.c);
+    throw;
   }
+  if (stale_upper) linalg::mirror_lower(ctx, state.c);
 }
 
 }  // namespace phmse::est

@@ -8,13 +8,24 @@
 //   S  = L L^T                              (chol)
 //   V  = L^{-T} L^{-1} G                    (sys;  V = K^T, the gain)
 //   x+ = x- + V^T (z - h(x-))               (m-v / vec)
-//   C+ = C- - V^T G                         (m-v;  see kernels.hpp)
+//   C+ = C- - V^T G = C- - W^T W            (m-v;  W = L^{-1} G, kernels.hpp)
 //
 // BatchUpdater owns the scratch buffers so repeated application over
 // thousands of batches does not allocate.
+//
+// Lower-authoritative sweeps.  C is symmetric, so apply_all keeps only its
+// lower triangle current while it runs: the downdate C -= W^T W updates
+// entries i >= j (half the m-v flops), each batch first refreshes the upper
+// half of just the rows H reads (C(r, j) = C(j, r) for j > r: only upper
+// entries are written, each with its mirror value), and one lower-to-upper
+// mirror closes the sweep — on every exit, normal or thrown.
+// Entries (i, j) and (j, i) of W^T W are the same exact products, so the
+// result is bitwise the full update's.  Precondition: C is bitwise
+// symmetric on entry to apply() and apply_all(); both leave it so.
 #pragma once
 
 #include <span>
+#include <vector>
 
 #include "constraints/set.hpp"
 #include "estimation/policy.hpp"
@@ -61,18 +72,25 @@ class BatchUpdater {
   /// With the default (abort) policy a failure throws phmse::Error exactly
   /// as it always has.  `batch_index` identifies the batch within a sweep
   /// for diagnostics and the fault-injection seam (-1 = standalone call).
+  ///
+  /// C must be bitwise symmetric on entry.  An applied batch mirrors the
+  /// whole lower triangle afterwards (an n^2 copy), so sweeps should use
+  /// apply_all, which pays that once per set.
   BatchOutcome apply(par::ExecContext& ctx, NodeState& state,
                      std::span<const cons::Constraint> batch,
                      const SolvePolicy& policy = {}, Index batch_index = -1);
 
   /// Applies an entire set in consecutive batches of `batch_size` (the last
-  /// batch may be smaller).  Symmetrizes the covariance every
-  /// `symmetrize_every` batches (0 disables) to contain round-off drift.
+  /// batch may be smaller), bitwise equal to calling apply() on each batch
+  /// in turn.  Inside the sweep only C's lower triangle is kept current
+  /// (see the file comment); one mirror restores the upper triangle when
+  /// the sweep ends, also when it ends by a cancellation or a thrown
+  /// failure, so C leaves bitwise symmetric whenever it entered so.
   /// Failed batches are handled per `policy`; when `report` is non-null
   /// every batch outcome is tallied into it (non-ok outcomes individually).
   void apply_all(par::ExecContext& ctx, NodeState& state,
                  const cons::ConstraintSet& set, Index batch_size,
-                 Index symmetrize_every = 64, const SolvePolicy& policy = {},
+                 const SolvePolicy& policy = {},
                  NodeReport* report = nullptr);
 
   /// Upper bound on one scalar constraint's Jacobian-row nonzeros (4 atoms
@@ -111,6 +129,14 @@ class BatchUpdater {
   /// every variance strictly positive.
   bool batch_inputs_valid_() const;
 
+  /// One Fig.-1 batch that leaves only C's lower triangle current (apply()
+  /// minus the closing mirror).  With `stale_upper` the upper halves of the
+  /// rows H reads are refreshed from their columns before G = H C.
+  BatchOutcome apply_lower_(par::ExecContext& ctx, NodeState& state,
+                            std::span<const cons::Constraint> batch,
+                            const SolvePolicy& policy, Index batch_index,
+                            bool stale_upper);
+
   /// Kernel dispatch table (see set_backend); null = process default.
   const linalg::Backend* backend_ = nullptr;
 
@@ -126,6 +152,7 @@ class BatchUpdater {
   linalg::Vector rdiag_;    // noise variances  (m)
   linalg::Vector dx_;       // state correction (n)
   linalg::Vector w_;        // whitened residual L^-1 r (m)
+  std::vector<Index> touched_;  // rows of C that H reads, ascending
   bool positions_finite_ = true;  // set by linearize
 
   /// Applied-Jacobian archive (see applied_row): fixed kMaxRowNnz-stride

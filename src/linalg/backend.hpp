@@ -60,8 +60,14 @@ struct Backend {
   void (*trsm_lower_transposed)(par::ExecContext&, const Matrix&, Matrix&);
   void (*gain_times_residual)(par::ExecContext&, const Matrix&, const Vector&,
                               Vector&);
-  void (*covariance_downdate)(par::ExecContext&, const Matrix&, const Matrix&,
-                              Matrix&);
+  /// C -= W^T W, the symmetric downdate of the Fig.-1 sweep.  Only the
+  /// lower triangle (i >= j) is guaranteed current afterwards; the strict
+  /// upper triangle is unspecified.  blocked and simd update rows i >= j
+  /// only, through each row tile's diagonal block, with the per-element fma
+  /// chain of the full panel; ref keeps its frozen full update as the
+  /// oracle.  Callers that need C whole mirror the lower triangle
+  /// (kernels.hpp, mirror_lower).
+  void (*covariance_downdate)(par::ExecContext&, const Matrix&, Matrix&);
   void (*gram)(par::ExecContext&, const Matrix&, Matrix&);
   CholeskyResult (*cholesky_factor)(par::ExecContext&, Matrix&,
                                     Index block_size);

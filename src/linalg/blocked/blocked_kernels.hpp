@@ -40,9 +40,9 @@ void trsm_lower_transposed(par::ExecContext& ctx, const Matrix& l, Matrix& b);
 void gain_times_residual(par::ExecContext& ctx, const Matrix& v,
                          const Vector& r, Vector& dx);
 
-/// C -= V^T * G as register-tiled rank-m panel updates.  Category: m-v.
-void covariance_downdate(par::ExecContext& ctx, const Matrix& v,
-                         const Matrix& g, Matrix& c);
+/// C -= W^T * W on the lower triangle as register-tiled rank-m panel
+/// updates (backend.hpp).  Category: m-v.
+void covariance_downdate(par::ExecContext& ctx, const Matrix& w, Matrix& c);
 
 /// out = W^T * W, register-tiled with strip-wise zero-init.  Category: m-m.
 void gram(par::ExecContext& ctx, const Matrix& w, Matrix& out);

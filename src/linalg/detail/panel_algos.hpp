@@ -117,28 +117,59 @@ void trsm_impl(par::ExecContext& ctx, const Matrix& l, Matrix& b) {
   ctx.parallel(perf::Category::kSystemSolve, k, cost, body);
 }
 
-// C -= V^T G as a rank-m panel update over C's rows (category m-v).
+// Row-pair split of an n-row triangular sweep, so every lane gets an equal
+// share of the triangle: unit t of [0, row_pairs(n)) owns rows t and
+// n-1-t (for odd n the middle row pairs with itself and is visited once).
+inline Index row_pairs(Index n) { return (n + 1) / 2; }
+
+// Calls f(lo, hi) for each non-empty contiguous row range the unit slice
+// [begin, end) owns: the top rows [begin, end) and the bottom rows
+// [max(n - end, row_pairs(n)), n - begin).
+template <class F>
+void for_pair_rows(Index n, Index begin, Index end, F&& f) {
+  if (begin >= end) return;
+  f(begin, end);
+  const Index lo = std::max(n - end, row_pairs(n));
+  if (lo < n - begin) f(lo, n - begin);
+}
+
+// Lower-triangle entries (diagonal included) of the rows [lo, hi).
+inline double lower_entries(Index lo, Index hi) {
+  return 0.5 * static_cast<double>(hi - lo) * static_cast<double>(lo + hi + 1);
+}
+
+// C -= W^T W on the lower triangle only (category m-v).  Each kGemmRowTile
+// tile of rows [i0, i0 + rows) is one panel through its diagonal block,
+// columns [0, i0 + rows); every written element is the same fma chain the
+// full panel computes, so the lower triangle is bitwise the full update's.
+// Entries above the diagonal are left stale (the few inside a diagonal
+// block are overwritten with values computed from their stale inputs); the
+// caller mirrors the lower triangle when it needs C whole.  Lanes take row
+// pairs (for_pair_rows): pair t costs n+1 entries for every t, so the
+// triangle splits evenly over any lane count.
 template <class Panels>
-void covariance_downdate_impl(par::ExecContext& ctx, const Matrix& v,
-                              const Matrix& g, Matrix& c) {
-  PHMSE_CHECK(v.rows() == g.rows() && v.cols() == g.cols(),
-              "covariance_downdate: V/G shape mismatch");
-  PHMSE_CHECK(c.rows() == c.cols() && c.rows() == v.cols(),
+void covariance_downdate_impl(par::ExecContext& ctx, const Matrix& w,
+                              Matrix& c) {
+  PHMSE_CHECK(c.rows() == c.cols() && c.rows() == w.cols(),
               "covariance_downdate: C shape mismatch");
-  const Index m = v.rows();
+  const Index m = w.rows();
   const Index n = c.rows();
 
   auto cost = [&](Index begin, Index end) {
     par::KernelStats st;
-    const double rows = static_cast<double>(end - begin);
-    st.flops = 2.0 * rows * static_cast<double>(m) * static_cast<double>(n);
-    // C rows read+written once; G's compulsory traffic charged once.
-    st.bytes_stream =
-        kBytesPerDouble * (2.0 * rows * static_cast<double>(n) +
-                           static_cast<double>(m) * static_cast<double>(n));
-    // The blocked GEMM keeps an m x kGemmColStrip panel of G resident and
-    // re-sweeps it once per register row tile (it was the full m x n block
-    // once per covariance row before blocking); machines with a finite
+    double entries = 0.0;
+    double rows = 0.0;
+    for_pair_rows(n, begin, end, [&](Index lo, Index hi) {
+      entries += lower_entries(lo, hi);
+      rows += static_cast<double>(hi - lo);
+    });
+    st.flops = 2.0 * static_cast<double>(m) * entries;
+    // C's lower entries read+written once; W's compulsory traffic once.
+    st.bytes_stream = kBytesPerDouble *
+                      (2.0 * entries +
+                       static_cast<double>(m) * static_cast<double>(n));
+    // The blocked GEMM keeps an m x kGemmColStrip panel of W resident and
+    // re-sweeps it once per register row tile; machines with a finite
     // modeled cache penalize overflow.
     st.resident_bytes =
         kBytesPerDouble * static_cast<double>(m) *
@@ -147,13 +178,16 @@ void covariance_downdate_impl(par::ExecContext& ctx, const Matrix& v,
     return st;
   };
   auto body = [&](Index begin, Index end, int /*lane*/) {
-    if (end <= begin || m <= 0) return;
-    // C[begin..end) -= (V^T G)[begin..end): a rank-m panel update;
-    // coefficients are the columns of V.
-    Panels::tn_acc(-1.0, v.data() + begin, n, g.data(), n,
-                   c.row(begin).data(), n, end - begin, m, n);
+    if (m <= 0) return;
+    for_pair_rows(n, begin, end, [&](Index lo, Index hi) {
+      for (Index i0 = lo; i0 < hi; i0 += kGemmRowTile) {
+        const Index rows = std::min(kGemmRowTile, hi - i0);
+        Panels::tn_acc(-1.0, w.data() + i0, n, w.data(), n,
+                       c.row(i0).data(), n, rows, m, i0 + rows);
+      }
+    });
   };
-  ctx.parallel(perf::Category::kMatVec, n, cost, body);
+  ctx.parallel(perf::Category::kMatVec, row_pairs(n), cost, body);
 }
 
 // out = W^T W with the zero-init folded into the first reduction tile.

@@ -8,9 +8,12 @@
 // they live here rather than in the per-backend tables.
 #include "linalg/kernels.hpp"
 
+#include <algorithm>
+
 #include "linalg/backend.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/cholesky.hpp"
+#include "linalg/detail/panel_algos.hpp"
 #include "support/check.hpp"
 
 namespace phmse::linalg {
@@ -20,6 +23,11 @@ using par::KernelStats;
 using perf::Category;
 
 constexpr double kBytes = 8.0;  // sizeof(double)
+
+// Side of the square tiles mirror_lower copies through, and the column
+// block mirror_lower_rows sweeps its listed rows over: 64 doubles is 8
+// cache lines, so a tile's reads and writes stay cache-resident.
+constexpr Index kMirrorTile = 64;
 
 }  // namespace
 
@@ -47,9 +55,8 @@ void gain_times_residual(par::ExecContext& ctx, const Matrix& v,
   default_backend().gain_times_residual(ctx, v, r, dx);
 }
 
-void covariance_downdate(par::ExecContext& ctx, const Matrix& v,
-                         const Matrix& g, Matrix& c) {
-  default_backend().covariance_downdate(ctx, v, g, c);
+void covariance_downdate(par::ExecContext& ctx, const Matrix& w, Matrix& c) {
+  default_backend().covariance_downdate(ctx, w, c);
 }
 
 void gram(par::ExecContext& ctx, const Matrix& w, Matrix& out) {
@@ -125,31 +132,79 @@ void vec_add_inplace(par::ExecContext& ctx, const Vector& x, Vector& y) {
   ctx.parallel(Category::kVector, n, cost, body);
 }
 
-void symmetrize(par::ExecContext& ctx, Matrix& c) {
-  PHMSE_CHECK(c.rows() == c.cols(), "symmetrize: matrix must be square");
+void mirror_lower(par::ExecContext& ctx, Matrix& c) {
+  PHMSE_CHECK(c.rows() == c.cols(), "mirror_lower: matrix must be square");
   const Index n = c.rows();
+  // Row i copies its n-1-i upper entries, so every row pair costs n-1.
   auto cost = [&](Index begin, Index end) {
+    double copies = 0.0;
+    detail::for_pair_rows(n, begin, end, [&](Index lo, Index hi) {
+      copies += 0.5 * static_cast<double>(hi - lo) *
+                static_cast<double>(2 * n - 1 - lo - hi);
+    });
     KernelStats st;
-    const double rows = static_cast<double>(end - begin);
-    st.flops = rows * static_cast<double>(n);
-    st.bytes_stream = kBytes * rows * static_cast<double>(n);
-    st.bytes_irregular = kBytes * rows * static_cast<double>(n);
+    st.bytes_stream = 2.0 * kBytes * copies;
     return st;
   };
+  // Rows in kMirrorTile-square tiles: a tile reads kMirrorTile short row
+  // segments below the diagonal and writes kMirrorTile short row segments
+  // above it, so neither side strides the whole column.  Lanes read only
+  // lower entries and write only their own rows' upper entries.
   auto body = [&](Index begin, Index end, int /*lane*/) {
-    // Each lane owns rows [begin,end) and writes only the (i,j) entries with
-    // i in its range; mirror entries (j,i) are owned by the lane covering j,
-    // so a two-phase scheme is unnecessary: compute the average from a
-    // consistent snapshot by only touching pairs where both i and j are in
-    // range, and handle cross-lane pairs by having the lower-row lane write
-    // both sides.  With contiguous chunks i < j implies lane(i) <= lane(j);
-    // letting the lane that owns i (the smaller index) write both entries is
-    // race-free because each (i,j) pair has exactly one writer.
-    for (Index i = begin; i < end; ++i) {
-      for (Index j = i + 1; j < n; ++j) {
-        const double avg = 0.5 * (c(i, j) + c(j, i));
-        c(i, j) = avg;
-        c(j, i) = avg;
+    double* const base = c.data();
+    detail::for_pair_rows(n, begin, end, [&](Index lo, Index hi) {
+      for (Index i0 = lo; i0 < hi; i0 += kMirrorTile) {
+        const Index i1 = std::min(i0 + kMirrorTile, hi);
+        for (Index j0 = i0 + 1; j0 < n; j0 += kMirrorTile) {
+          const Index j1 = std::min(j0 + kMirrorTile, n);
+          for (Index i = i0; i < i1; ++i) {
+            double* const row = base + i * n;
+            for (Index j = std::max(j0, i + 1); j < j1; ++j) {
+              row[j] = base[j * n + i];
+            }
+          }
+        }
+      }
+    });
+  };
+  ctx.parallel(Category::kVector, detail::row_pairs(n), cost, body);
+}
+
+void mirror_lower_rows(par::ExecContext& ctx, std::span<const Index> rows,
+                       Matrix& c) {
+  PHMSE_CHECK(c.rows() == c.cols(),
+              "mirror_lower_rows: matrix must be square");
+  const Index n = c.rows();
+  if (rows.empty()) return;
+  PHMSE_CHECK(rows.front() >= 0 && rows.back() < n,
+              "mirror_lower_rows: row index out of range");
+  auto cost = [&](Index begin, Index end) {
+    // Column j copies one entry for every listed row above it.  The writes
+    // run along the listed rows; the reads gather down their columns.
+    double copies = 0.0;
+    for (const Index r : rows) {
+      const Index first = std::max(begin, r + 1);
+      if (first < end) copies += static_cast<double>(end - first);
+    }
+    KernelStats st;
+    st.bytes_stream = kBytes * copies;
+    st.bytes_irregular = kBytes * copies;
+    return st;
+  };
+  // Columns in kMirrorTile blocks: each listed row then writes one short
+  // contiguous segment per block, and the block's rows, whose lines hold
+  // the column entries the listed rows read, stay cache-resident across
+  // the whole row list instead of being re-fetched for every column.
+  auto body = [&](Index begin, Index end, int /*lane*/) {
+    double* const base = c.data();
+    for (Index j0 = begin; j0 < end; j0 += kMirrorTile) {
+      const Index j1 = std::min(j0 + kMirrorTile, end);
+      for (const Index r : rows) {
+        if (r + 1 >= j1) break;
+        double* const dst = base + r * n;
+        for (Index j = std::max(j0, r + 1); j < j1; ++j) {
+          dst[j] = base[j * n + r];
+        }
       }
     }
   };

@@ -6,7 +6,7 @@
 //   m-m  : S = G * H^T + R      (innovation covariance assembly)
 //   chol : factor S = L L^T     (see cholesky.hpp)
 //   sys  : solve L W = G, L^T V = W  => V = K^T  (filter gain)
-//   m-v  : dx = V^T r, and the covariance update C -= V^T G, which is
+//   m-v  : dx = V^T r, and the covariance update C -= W^T W, which is
 //          mathematically n dense matrix-vector products C(:,l) -= K a_l —
 //          the dominant operation, reported by the paper under m-v
 //   vec  : residuals, scalings, copies
@@ -25,6 +25,8 @@
 // a worker lane) joins the team cleanly and rethrows on the calling lane,
 // leaving only the output arguments in a partially-written state.
 #pragma once
+
+#include <span>
 
 #include "linalg/csr.hpp"
 #include "linalg/matrix.hpp"
@@ -57,12 +59,20 @@ void trsm_lower_transposed(par::ExecContext& ctx, const Matrix& l, Matrix& b);
 void gain_times_residual(par::ExecContext& ctx, const Matrix& v,
                          const Vector& r, Vector& dx);
 
-/// C -= V^T * G with V, G: m x n and C: n x n.  This is the covariance
-/// measurement update C -= K (C H^T)^T.  Parallel over rows of C; each row
-/// update streams the m rows of G (which fit in cache for the batch sizes
-/// the paper recommends).  Category: m-v (see file comment).
-void covariance_downdate(par::ExecContext& ctx, const Matrix& v,
-                         const Matrix& g, Matrix& c);
+/// C -= W^T * W with W: m x n and C: n x n.  This is the covariance
+/// measurement update C -= K (C H^T)^T with W = L^{-1} H C.  Parallel over
+/// row pairs of C; each row update streams the m rows of W (which fit in
+/// cache for the batch sizes the paper recommends).  Category: m-v (see
+/// file comment).
+///
+/// W^T W is symmetric, so only C's lower triangle (i >= j) is guaranteed
+/// current afterwards; the strict upper triangle is unspecified (the
+/// blocked and simd backends leave it stale and do half the flops, the ref
+/// oracle still writes it).  Entries (i, j) and (j, i) of W^T W are the
+/// same exact products, so a C that was bitwise symmetric before the call
+/// becomes bitwise the full update again after mirror_lower().  The Fig.-1
+/// sweep (estimation/update.hpp) relies on this.
+void covariance_downdate(par::ExecContext& ctx, const Matrix& w, Matrix& c);
 
 /// out = W^T * W for W: m x n (out resized to n x n).  Used by the Fig.-3
 /// combination procedure to form information matrices.  Category: m-m.
@@ -81,8 +91,19 @@ void vec_sub(par::ExecContext& ctx, const Vector& a, const Vector& b,
 /// y += x element-wise.  Category: vec.
 void vec_add_inplace(par::ExecContext& ctx, const Vector& x, Vector& y);
 
-/// Enforces symmetry of square C by averaging mirror entries.  Parallel over
-/// rows.  Category: vec.
-void symmetrize(par::ExecContext& ctx, Matrix& c);
+/// Copies square C's strict lower triangle over its strict upper triangle,
+/// C(i, j) = C(j, i) for j > i, leaving C bitwise symmetric and the lower
+/// triangle untouched — the end of a lower-authoritative update sweep (see
+/// covariance_downdate).  Lanes take row pairs (t, n-1-t), so each gets an
+/// equal share of the triangle.  Category: vec.
+void mirror_lower(par::ExecContext& ctx, Matrix& c);
+
+/// mirror_lower restricted to the listed rows: C(r, j) = C(j, r) for every
+/// r in `rows` and j > r.  `rows` must be ascending and duplicate-free.
+/// Only upper entries are written, each with its mirror value, so on a
+/// symmetric C this is a bitwise no-op.  Parallel over C's columns.
+/// Category: vec.
+void mirror_lower_rows(par::ExecContext& ctx, std::span<const Index> rows,
+                       Matrix& c);
 
 }  // namespace phmse::linalg

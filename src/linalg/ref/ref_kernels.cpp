@@ -96,13 +96,10 @@ void trsm_lower_transposed(par::ExecContext& ctx, const Matrix& l,
   trsm_impl<true>(ctx, l, b);
 }
 
-void covariance_downdate(par::ExecContext& ctx, const Matrix& v,
-                         const Matrix& g, Matrix& c) {
-  PHMSE_CHECK(v.rows() == g.rows() && v.cols() == g.cols(),
-              "covariance_downdate: V/G shape mismatch");
-  PHMSE_CHECK(c.rows() == c.cols() && c.rows() == v.cols(),
+void covariance_downdate(par::ExecContext& ctx, const Matrix& w, Matrix& c) {
+  PHMSE_CHECK(c.rows() == c.cols() && c.rows() == w.cols(),
               "covariance_downdate: C shape mismatch");
-  const Index m = v.rows();
+  const Index m = w.rows();
   const Index n = c.rows();
 
   auto cost = [&](Index begin, Index end) {
@@ -121,8 +118,8 @@ void covariance_downdate(par::ExecContext& ctx, const Matrix& v,
     for (Index i = begin; i < end; ++i) {
       double* crow = c.row(i).data();
       for (Index j = 0; j < m; ++j) {
-        const double vji = v(j, i);
-        axpy(-vji, g.row(j).data(), crow, n);
+        const double wji = w(j, i);
+        axpy(-wji, w.row(j).data(), crow, n);
       }
     }
   };

@@ -814,9 +814,8 @@ void gain_times_residual(par::ExecContext& ctx, const Matrix& v,
   ctx.parallel(Category::kMatVec, v.cols(), cost, body);
 }
 
-void covariance_downdate(par::ExecContext& ctx, const Matrix& v,
-                         const Matrix& g, Matrix& c) {
-  detail::covariance_downdate_impl<SimdPanels>(ctx, v, g, c);
+void covariance_downdate(par::ExecContext& ctx, const Matrix& w, Matrix& c) {
+  detail::covariance_downdate_impl<SimdPanels>(ctx, w, c);
 }
 
 void gram(par::ExecContext& ctx, const Matrix& w, Matrix& out) {

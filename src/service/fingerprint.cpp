@@ -69,7 +69,6 @@ Fingerprint fingerprint(const engine::Problem& problem,
   enc.integer(s.max_cycles);
   enc.real(s.tolerance);
   enc.real(s.prior_sigma);
-  enc.integer(s.symmetrize_every);
   enc.integer(static_cast<long long>(s.policy.on_failure));
   enc.integer(s.policy.max_retries);
   enc.real(s.policy.regularization_init);

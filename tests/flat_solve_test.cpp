@@ -167,8 +167,7 @@ TEST(FlatSolver, IsBitwiseTheCycledSweepOverOneState) {
         est::BatchUpdater updater;
         for (int c = 0; c < cycles; ++c) {
           st.reset_covariance(prior);
-          updater.apply_all(ctx, st, set, opts.batch_size,
-                            opts.symmetrize_every);
+          updater.apply_all(ctx, st, set, opts.batch_size);
         }
         EXPECT_EQ(res.posterior().x, st.x)
             << length << " bp, " << cycles << " cycles, prior " << prior;

@@ -75,7 +75,7 @@ TEST_P(BatchSweep, CovarianceStaysSymmetricPositiveDefinite) {
 
   par::SerialContext ctx;
   BatchUpdater up;
-  up.apply_all(ctx, st, set, GetParam(), 8);
+  up.apply_all(ctx, st, set, GetParam());
 
   // Symmetric to round-off...
   for (Index i = 0; i < st.dim(); ++i) {
@@ -96,7 +96,7 @@ TEST_P(BatchSweep, EveryMarginalVarianceWithinPrior) {
   const cons::ConstraintSet set = random_constraints(st, 40, rng);
   par::SerialContext ctx;
   BatchUpdater up;
-  up.apply_all(ctx, st, set, GetParam(), 0);
+  up.apply_all(ctx, st, set, GetParam());
   for (Index i = 0; i < st.dim(); ++i) {
     EXPECT_GT(st.c(i, i), 0.0);
     EXPECT_LE(st.c(i, i), 4.0 + 1e-9);  // prior variance
@@ -123,10 +123,10 @@ TEST_P(BatchSweep, LinearDataGivesBatchingInvariantPosterior) {
   par::SerialContext ctx;
   BatchUpdater up;
   NodeState baseline = reference;
-  up.apply_all(ctx, baseline, set, 1, 0);
+  up.apply_all(ctx, baseline, set, 1);
 
   NodeState batched = reference;
-  up.apply_all(ctx, batched, set, GetParam(), 0);
+  up.apply_all(ctx, batched, set, GetParam());
 
   for (std::size_t i = 0; i < baseline.x.size(); ++i) {
     EXPECT_NEAR(batched.x[i], baseline.x[i], 1e-9);
@@ -154,7 +154,7 @@ TEST_P(BatchSweep, RepeatedIdenticalMeasurementsConcentrate) {
   }
   par::SerialContext ctx;
   BatchUpdater up;
-  up.apply_all(ctx, st, set, 4, 0);
+  up.apply_all(ctx, st, set, 4);
   const double expected_var =
       prior * r / (r + static_cast<double>(k) * prior);
   EXPECT_NEAR(st.c(0, 0), expected_var, 1e-9);
@@ -215,7 +215,7 @@ TEST_P(BatchSweep, NonAbortPolicyIsBitwiseIdenticalOnCleanData) {
   par::SerialContext ctx;
   NodeState baseline = reference;
   BatchUpdater up0;
-  up0.apply_all(ctx, baseline, set, GetParam(), 8);  // default: abort
+  up0.apply_all(ctx, baseline, set, GetParam());  // default: abort
 
   for (const SolvePolicy& policy :
        {SolvePolicy::skip_batch(), SolvePolicy::retry_regularized(),
@@ -223,7 +223,7 @@ TEST_P(BatchSweep, NonAbortPolicyIsBitwiseIdenticalOnCleanData) {
     NodeState st = reference;
     BatchUpdater up;
     NodeReport report;
-    up.apply_all(ctx, st, set, GetParam(), 8, policy, &report);
+    up.apply_all(ctx, st, set, GetParam(), policy, &report);
     EXPECT_EQ(st.x, baseline.x);
     EXPECT_EQ(st.c, baseline.c);
     EXPECT_TRUE(report.clean());
@@ -246,7 +246,7 @@ TEST(UpdateGolden, SeededHelixRefinementMatchesGolden) {
                                     1.0, 0.3, rng);
   par::SerialContext ctx;
   BatchUpdater up;
-  up.apply_all(ctx, st, set, 16, 8);
+  up.apply_all(ctx, st, set, 16);
 
   const double rmsd = model.topology.rmsd_to_truth(st.x);
   double trace = 0.0;

@@ -196,7 +196,7 @@ TEST(BatchUpdate, ApplyAllBatchesWholeSet) {
   BatchUpdater updater;
 
   NodeState by_all = two_atom_state();
-  updater.apply_all(ctx, by_all, set, 4, 0);
+  updater.apply_all(ctx, by_all, set, 4);
 
   NodeState by_hand = two_atom_state();
   const auto& all = set.all();
@@ -221,19 +221,19 @@ TEST(BatchUpdate, TeamAndSimMatchSerialBitwise) {
   par::SerialContext serial;
   BatchUpdater u1;
   NodeState s_serial = two_atom_state();
-  u1.apply_all(serial, s_serial, set, 8, 2);
+  u1.apply_all(serial, s_serial, set, 8);
 
   par::ThreadPool pool(3);
   par::TeamContext team(pool, 0, 3);
   BatchUpdater u2;
   NodeState s_team = two_atom_state();
-  u2.apply_all(team, s_team, set, 8, 2);
+  u2.apply_all(team, s_team, set, 8);
 
   simarch::SimMachine machine(simarch::dash32());
   simarch::SimContext sim(machine, 0, 16);
   BatchUpdater u3;
   NodeState s_sim = two_atom_state();
-  u3.apply_all(sim, s_sim, set, 8, 2);
+  u3.apply_all(sim, s_sim, set, 8);
 
   EXPECT_EQ(s_serial.x, s_team.x);
   EXPECT_EQ(s_serial.x, s_sim.x);
