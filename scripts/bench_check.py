@@ -98,6 +98,14 @@ KNOWN_KERNELS = {
     "trsm_lower",
     "trsm_lower_transposed",
     "cholesky",
+    "sparse_dense",
+    "gain_times_residual",
+    # One apply_all sweep of four root-shaped batches through a copy of the
+    # simd table that always delays its downdates, and one that never does
+    # (estimation/update.hpp); the smallest n where delayed beats eager is
+    # linalg::simd::kDelayMinDim.
+    "apply_all_root4_delayed",
+    "apply_all_root4_eager",
     # Solver-level rows from bench/solve_regress: the two halves of the
     # plan/execute split (Engine::compile vs steady-state plan.solve()).
     "plan_compile",

@@ -95,17 +95,100 @@ BatchOutcome BatchUpdater::apply(par::ExecContext& ctx, NodeState& state,
                                  const SolvePolicy& policy,
                                  Index batch_index) {
   const BatchOutcome out =
-      apply_lower_(ctx, state, batch, policy, batch_index,
-                   /*stale_upper=*/false);
+      apply_lower_(ctx, state, batch, policy, batch_index, Sweep::kFresh);
   if (out.applied()) linalg::mirror_lower(ctx, state.c);
   return out;
+}
+
+const linalg::Backend& BatchUpdater::backend_table_() const {
+  return backend_ != nullptr ? *backend_ : linalg::default_backend();
+}
+
+void BatchUpdater::collect_touched_() {
+  touched_.clear();
+  for (Index j = 0; j < h_.rows(); ++j) {
+    const auto cols = h_.row_indices(j);
+    touched_.insert(touched_.end(), cols.begin(), cols.end());
+  }
+  std::sort(touched_.begin(), touched_.end());
+  touched_.erase(std::unique(touched_.begin(), touched_.end()),
+                 touched_.end());
+}
+
+void BatchUpdater::gather_product_(par::ExecContext& ctx,
+                                   const linalg::Backend& be,
+                                   const NodeState& state) {
+  // The rows H reads, as the eager sweep would hold them: C's lower
+  // triangle as of the last flush, then the queued downdates replayed over
+  // them with the downdate's own chain.
+  linalg::gather_lower_rows(ctx, state.c, touched_, gathered_);  //      vec
+  const Index k = queue_.rows();
+  const auto t = static_cast<Index>(touched_.size());
+  if (k > 0 && t > 0) {
+    coeff_.resize(k, t);
+    ctx.sequential(
+        perf::Category::kVector,
+        [&](Index, Index) {
+          par::KernelStats st;
+          const double entries = static_cast<double>(k * t);
+          st.bytes_stream = 8.0 * entries;
+          st.bytes_irregular = 8.0 * entries;
+          return st;
+        },
+        [&] {
+          for (Index l = 0; l < k; ++l) {
+            const double* const src = queue_.row(l).data();
+            double* const dst = coeff_.row(l).data();
+            for (Index s = 0; s < t; ++s) {
+              dst[s] = src[touched_[static_cast<std::size_t>(s)]];
+            }
+          }
+        });
+    be.downdate_rows(ctx, coeff_, queue_, gathered_);            //      vec
+  }
+  h_.renumber_columns(touched_, h_gathered_);
+  be.sparse_dense(ctx, h_gathered_, gathered_, g_);              // G    d-s
+}
+
+void BatchUpdater::queue_downdate_(par::ExecContext& ctx,
+                                   const linalg::Backend& be,
+                                   linalg::Matrix& c) {
+  const Index m = g_.rows();
+  const Index n = g_.cols();
+  const Index first = queue_.rows();
+  queue_.resize(first + m, n);
+  ctx.sequential(
+      perf::Category::kVector,
+      [&](Index, Index) {
+        par::KernelStats st;
+        st.bytes_stream = 2.0 * 8.0 * static_cast<double>(m * n);
+        return st;
+      },
+      [&] { std::copy_n(g_.data(), m * n, queue_.row(first).data()); });
+  if (++queued_batches_ == kDelayBatches) flush_queue_(ctx, be, c);
+}
+
+void BatchUpdater::flush_queue_(par::ExecContext& ctx,
+                                const linalg::Backend& be,
+                                linalg::Matrix& c) {
+  if (queue_.rows() == 0) return;
+  const Index n = queue_.cols();
+  try {
+    be.covariance_downdate(ctx, queue_, c);  // C -= Q^T Q  (i >= j)     m-v
+  } catch (...) {
+    queue_.resize(0, n);
+    queued_batches_ = 0;
+    throw;
+  }
+  queue_.resize(0, n);
+  queued_batches_ = 0;
 }
 
 BatchOutcome BatchUpdater::apply_lower_(par::ExecContext& ctx,
                                         NodeState& state,
                                         std::span<const cons::Constraint> batch,
                                         const SolvePolicy& policy,
-                                        Index batch_index, bool stale_upper) {
+                                        Index batch_index, Sweep sweep) {
   BatchOutcome out;
   if (batch.empty()) return out;
   const Index n = state.dim();
@@ -133,24 +216,22 @@ BatchOutcome BatchUpdater::apply_lower_(par::ExecContext& ctx,
     return out;
   }
 
-  const linalg::Backend& be =
-      backend_ != nullptr ? *backend_ : linalg::default_backend();
+  const linalg::Backend& be = backend_table_();
 
-  if (stale_upper) {
-    // Mid-sweep the upper triangle lags the lower one; G = H C reads whole
-    // rows of C, so bring just the rows H touches up to date.  Only upper
-    // entries are written, each with its mirror value.
-    touched_.clear();
-    for (Index j = 0; j < m; ++j) {
-      const auto cols = h_.row_indices(j);
-      touched_.insert(touched_.end(), cols.begin(), cols.end());
+  if (sweep == Sweep::kFresh) {
+    be.sparse_dense(ctx, h_, state.c, g_);                // G = H C       d-s
+  } else {
+    collect_touched_();
+    if (sweep == Sweep::kStaleUpper) {
+      // Mid-sweep the upper triangle lags the lower one; G = H C reads
+      // whole rows of C, so bring just the rows H touches up to date.
+      // Only upper entries are written, each with its mirror value.
+      linalg::mirror_lower_rows(ctx, touched_, state.c);  //               vec
+      be.sparse_dense(ctx, h_, state.c, g_);              // G = H C       d-s
+    } else {
+      gather_product_(ctx, be, state);                    // G = H C
     }
-    std::sort(touched_.begin(), touched_.end());
-    touched_.erase(std::unique(touched_.begin(), touched_.end()),
-                   touched_.end());
-    linalg::mirror_lower_rows(ctx, touched_, state.c);    //               vec
   }
-  be.sparse_dense(ctx, h_, state.c, g_);                  // G = H C       d-s
 
   // Factor S = L L^T under the policy's retry ladder.  The first attempt
   // factors S exactly as the historical code path; a retry re-assembles S
@@ -226,7 +307,11 @@ BatchOutcome BatchUpdater::apply_lower_(par::ExecContext& ctx,
   dx_.assign(static_cast<std::size_t>(n), 0.0);
   be.gain_times_residual(ctx, g_, w_, dx_);          // dx = W^T w        m-v
   linalg::vec_add_inplace(ctx, dx_, state.x);        // x += dx           vec
-  be.covariance_downdate(ctx, g_, state.c);          // C -= W^T W  (i>=j) m-v
+  if (sweep == Sweep::kDelayed) {
+    queue_downdate_(ctx, be, state.c);               // C -= W^T W later
+  } else {
+    be.covariance_downdate(ctx, g_, state.c);        // C -= W^T W  (i>=j) m-v
+  }
   return out;
 }
 
@@ -271,8 +356,18 @@ void BatchUpdater::reserve(Index max_m, Index n) {
   s_.resize(max_m, max_m);
   g_.resize(0, 0);
   s_.resize(0, 0);
+  const linalg::Backend& be = backend_table_();
+  if (be.delay_min_dim > 0 && n >= be.delay_min_dim) {
+    const Index rows = std::min(max_m * kMaxRowNnz, n);
+    queue_.resize(kDelayBatches * max_m, n);
+    gathered_.resize(rows, n);
+    coeff_.resize((kDelayBatches - 1) * max_m, rows);
+    queue_.resize(0, n);
+    gathered_.resize(0, n);
+    coeff_.resize(0, 0);
+  }
   // The rows H reads, listed once per Jacobian nonzero before the sort
-  // and unique in apply_lower_.
+  // and unique in collect_touched_.
   touched_.reserve(static_cast<std::size_t>(max_m * kMaxRowNnz));
 }
 
@@ -289,9 +384,13 @@ void BatchUpdater::apply_all(par::ExecContext& ctx, NodeState& state,
   arch_cols_.resize(slots);
   arch_vals_.resize(slots);
   arch_len_.assign(static_cast<std::size_t>(set.size()), -1);
+  const linalg::Backend& be = backend_table_();
+  const bool delay =
+      be.delay_min_dim > 0 && state.dim() >= be.delay_min_dim;
   Index applied_batches = 0;
-  // True once a batch has downdated C, i.e. while its upper triangle lags
-  // the lower one and needs the closing mirror.
+  // True once a batch has applied, i.e. once C's upper triangle lags (or,
+  // in a delayed sweep, will lag after the closing flush) the lower one
+  // and needs the closing mirror.
   bool stale_upper = false;
   try {
     for (Index start = 0; start < set.size(); start += batch_size) {
@@ -304,22 +403,28 @@ void BatchUpdater::apply_all(par::ExecContext& ctx, NodeState& state,
                              state.atom_end, applied_batches);
       }
       const Index len = std::min(batch_size, set.size() - start);
+      const Sweep sweep = delay         ? Sweep::kDelayed
+                          : stale_upper ? Sweep::kStaleUpper
+                                        : Sweep::kFresh;
       const BatchOutcome out = apply_lower_(
           ctx, state,
           std::span<const cons::Constraint>(all.data() + start,
                                             static_cast<std::size_t>(len)),
-          policy, applied_batches, stale_upper);
+          policy, applied_batches, sweep);
       stale_upper = stale_upper || out.applied();
       archive_batch_(start, len, out.applied());
       if (report != nullptr) report->record(applied_batches, out);
       ++applied_batches;
     }
   } catch (...) {
-    // Every committed batch stays committed; restore the upper triangle so
-    // the caller never sees a half-symmetric C.
+    // Every committed batch stays committed: flush the queued ones, then
+    // restore the upper triangle so the caller never sees a half-symmetric
+    // C.
+    flush_queue_(ctx, be, state.c);
     if (stale_upper) linalg::mirror_lower(ctx, state.c);
     throw;
   }
+  flush_queue_(ctx, be, state.c);
   if (stale_upper) linalg::mirror_lower(ctx, state.c);
 }
 

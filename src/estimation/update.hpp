@@ -22,6 +22,22 @@
 // Entries (i, j) and (j, i) of W^T W are the same exact products, so the
 // result is bitwise the full update's.  Precondition: C is bitwise
 // symmetric on entry to apply() and apply_all(); both leave it so.
+//
+// Delayed downdates.  On a node whose dimension reaches the backend's
+// Backend::delay_min_dim, apply_all stops downdating C after every batch.
+// Each applied batch's W joins a queue, and every kDelayBatches batches
+// the queue flushes as one rank-(kDelayBatches m) covariance_downdate: a
+// quarter of the passes over C for the same flops (m-v).  Every element
+// of the downdate is one fma chain over W's rows in order, so the flush is
+// bitwise the batches' sequential downdates.  Until then C lags, so before
+// G = H C each batch gathers the rows H reads from the lower triangle and
+// replays the queue over them with the downdate's own chain
+// (Backend::downdate_rows; both vec), which reproduces bitwise the rows
+// the eager sweep holds; G = H C then reads the gathered rows through H's
+// columns renumbered in ascending order, so each G entry keeps its sum
+// order.  The queue flushes on every exit too (normal end, cancellation,
+// a thrown failure) before the closing mirror, so x, C, the applied-row
+// archive and the report are bitwise the eager sweep's.
 #pragma once
 
 #include <span>
@@ -83,11 +99,14 @@ class BatchUpdater {
   /// Applies an entire set in consecutive batches of `batch_size` (the last
   /// batch may be smaller), bitwise equal to calling apply() on each batch
   /// in turn.  Inside the sweep only C's lower triangle is kept current
-  /// (see the file comment); one mirror restores the upper triangle when
-  /// the sweep ends, also when it ends by a cancellation or a thrown
-  /// failure, so C leaves bitwise symmetric whenever it entered so.
-  /// Failed batches are handled per `policy`; when `report` is non-null
-  /// every batch outcome is tallied into it (non-ok outcomes individually).
+  /// (see the file comment), and past the backend's delay_min_dim its
+  /// downdates are queued and flushed kDelayBatches at a time.  Pending
+  /// downdates flush and one mirror restores the upper triangle when the
+  /// sweep ends, also when it ends by a cancellation or a thrown failure,
+  /// so every committed batch stays applied and C leaves bitwise symmetric
+  /// whenever it entered so.  Failed batches are handled per `policy`;
+  /// when `report` is non-null every batch outcome is tallied into it
+  /// (non-ok outcomes individually).
   void apply_all(par::ExecContext& ctx, NodeState& state,
                  const cons::ConstraintSet& set, Index batch_size,
                  const SolvePolicy& policy = {},
@@ -96,6 +115,11 @@ class BatchUpdater {
   /// Upper bound on one scalar constraint's Jacobian-row nonzeros (4 atoms
   /// x 3 coordinates; the widest kind is a torsion).
   static constexpr Index kMaxRowNnz = 12;
+
+  /// Applied batches a delayed sweep queues before it flushes them as one
+  /// downdate.  Measured: 2 gains less on the ribo30S root, and from 6 on
+  /// the gathers cost more than the flush saves (EXPERIMENTS.md).
+  static constexpr Index kDelayBatches = 4;
 
   /// Jacobian row of constraint `i` (the set's sweep order) exactly as it
   /// was linearized when apply_all last applied its batch — the archive the
@@ -113,7 +137,10 @@ class BatchUpdater {
   /// Pre-sizes every scratch buffer for batches of up to `max_m` constraints
   /// against an `n`-dimensional state, so that subsequent apply() calls work
   /// entirely inside existing capacity.  (Without this, the first applied
-  /// batch warms the buffers instead.)
+  /// batch warms the buffers instead.)  The delayed sweep's queue and
+  /// gather scratch are sized only when n reaches the backend's
+  /// delay_min_dim, so smaller nodes carry none of them.  Resolves the
+  /// backend, so call it after set_backend.
   void reserve(Index max_m, Index n);
 
  private:
@@ -129,13 +156,39 @@ class BatchUpdater {
   /// every variance strictly positive.
   bool batch_inputs_valid_() const;
 
+  /// How apply_lower_ reads C for G = H C and commits the downdate.
+  enum class Sweep {
+    kFresh,       // C is whole: read it, downdate it
+    kStaleUpper,  // upper triangle lags: refresh the rows H reads first
+    kDelayed,     // downdates are queued: gather and replay the rows H
+                  // reads, queue W
+  };
+
   /// One Fig.-1 batch that leaves only C's lower triangle current (apply()
-  /// minus the closing mirror).  With `stale_upper` the upper halves of the
-  /// rows H reads are refreshed from their columns before G = H C.
+  /// minus the closing mirror), reading and downdating C per `sweep`.
   BatchOutcome apply_lower_(par::ExecContext& ctx, NodeState& state,
                             std::span<const cons::Constraint> batch,
                             const SolvePolicy& policy, Index batch_index,
-                            bool stale_upper);
+                            Sweep sweep);
+
+  /// The dispatch table: backend_, or the process default.
+  const linalg::Backend& backend_table_() const;
+
+  /// Fills touched_ with the rows of C that h_ reads, ascending.
+  void collect_touched_();
+
+  /// G = H C from the gathered rows of a delayed sweep (see Sweep).
+  void gather_product_(par::ExecContext& ctx, const linalg::Backend& be,
+                       const NodeState& state);
+
+  /// Queues the batch's W (in g_), flushing every kDelayBatches batches.
+  void queue_downdate_(par::ExecContext& ctx, const linalg::Backend& be,
+                       linalg::Matrix& c);
+
+  /// Downdates C by every queued W in one call and empties the queue, also
+  /// when the call throws.  No-op on an empty queue.
+  void flush_queue_(par::ExecContext& ctx, const linalg::Backend& be,
+                    linalg::Matrix& c);
 
   /// Kernel dispatch table (see set_backend); null = process default.
   const linalg::Backend* backend_ = nullptr;
@@ -154,6 +207,13 @@ class BatchUpdater {
   linalg::Vector w_;        // whitened residual L^-1 r (m)
   std::vector<Index> touched_;  // rows of C that H reads, ascending
   bool positions_finite_ = true;  // set by linearize
+
+  // Delayed sweeps only (see the file comment).
+  linalg::Matrix queue_;     // queued W rows, batches in order (<= 4m x n)
+  Index queued_batches_ = 0;
+  linalg::Matrix gathered_;  // current rows touched_ of C (t x n)
+  linalg::Matrix coeff_;     // queue_'s columns touched_ (rows(queue_) x t)
+  linalg::Csr h_gathered_;   // H with columns renumbered onto touched_
 
   /// Applied-Jacobian archive (see applied_row): fixed kMaxRowNnz-stride
   /// (cols, vals) slots per constraint of the last apply_all set, plus a

@@ -26,8 +26,10 @@ Backend make_ref() {
   b.trsm_lower_transposed = ref::trsm_lower_transposed;
   b.gain_times_residual = blocked::gain_times_residual;
   b.covariance_downdate = ref::covariance_downdate;
+  b.downdate_rows = ref::downdate_rows;
   b.gram = ref::gram;
   b.cholesky_factor = ref::cholesky_factor;
+  b.delay_min_dim = 0;
   return b;
 }
 
@@ -41,8 +43,10 @@ Backend make_blocked() {
   b.trsm_lower_transposed = blocked::trsm_lower_transposed;
   b.gain_times_residual = blocked::gain_times_residual;
   b.covariance_downdate = blocked::covariance_downdate;
+  b.downdate_rows = blocked::downdate_rows;
   b.gram = blocked::gram;
   b.cholesky_factor = blocked::cholesky_factor;
+  b.delay_min_dim = 0;
   return b;
 }
 
@@ -61,8 +65,10 @@ Backend make_simd() {
     b.trsm_lower_transposed = simd::trsm_lower_transposed;
     b.gain_times_residual = simd::gain_times_residual;
     b.covariance_downdate = simd::covariance_downdate;
+    b.downdate_rows = simd::downdate_rows;
     b.gram = simd::gram;
     b.cholesky_factor = simd::cholesky_factor;
+    b.delay_min_dim = simd::delay_min_dim();
   }
   return b;
 }

@@ -52,6 +52,8 @@ struct Backend {
   /// "portable" for the scalar/blocked backends.
   const char* simd_isa;
 
+  /// G = H * C for H: m x t sparse and C: t x n (square for the plain
+  /// sweep, the gathered rows of C for a delayed one).
   void (*sparse_dense)(par::ExecContext&, const Csr&, const Matrix&,
                        Matrix&);
   void (*innovation_covariance)(par::ExecContext&, const Matrix&, const Csr&,
@@ -65,12 +67,33 @@ struct Backend {
   /// upper triangle is unspecified.  blocked and simd update rows i >= j
   /// only, through each row tile's diagonal block, with the per-element fma
   /// chain of the full panel; ref keeps its frozen full update as the
-  /// oracle.  Callers that need C whole mirror the lower triangle
-  /// (kernels.hpp, mirror_lower).
+  /// oracle.  simd on AVX-512 runs ranks >= 32 through a packed 8 x 24
+  /// tile over column blocks, with the same per-element chain.  Callers
+  /// that need C whole mirror the lower triangle (kernels.hpp,
+  /// mirror_lower).
   void (*covariance_downdate)(par::ExecContext&, const Matrix&, Matrix&);
+  /// T -= A^T W for A: k x t, W: k x n and T: t x n, each element through
+  /// covariance_downdate's own per-element chain — the pending downdates of
+  /// a delayed sweep replayed over rows of C gathered into T.  With
+  /// A(l, s) = W(l, r_s), row s of T then holds bitwise row r_s of C as
+  /// downdating C by W would leave it: entries j <= r_s are the lower
+  /// triangle's (r_s, j), and entries j > r_s equal its mirror (j, r_s),
+  /// which sums the same exact products.  blocked and simd run their tn
+  /// panel, ref its row axpy.  Category: vec.
+  void (*downdate_rows)(par::ExecContext&, const Matrix& a, const Matrix& w,
+                        Matrix& t);
   void (*gram)(par::ExecContext&, const Matrix&, Matrix&);
   CholeskyResult (*cholesky_factor)(par::ExecContext&, Matrix&,
                                     Index block_size);
+
+  /// Smallest state dimension whose BatchUpdater::apply_all sweeps delay
+  /// C's downdates (estimation/update.hpp): each applied batch's W is
+  /// queued and every four batches flush as one rank-4m
+  /// covariance_downdate, bitwise equal to the eager sweep.  0 means never
+  /// delay.  The delay pays only with a kernel that turns the extra rank
+  /// into fewer passes over C, so only simd sets it, and only when its
+  /// AVX-512 set (the packed rank >= 32 tile) is active.
+  Index delay_min_dim;
 };
 
 /// All registered backends, in registry order (ref, blocked, simd).

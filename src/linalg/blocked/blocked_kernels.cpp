@@ -39,8 +39,7 @@ struct BlasPanels {
 
 void sparse_dense(par::ExecContext& ctx, const Csr& h, const Matrix& c,
                   Matrix& g) {
-  PHMSE_CHECK(h.cols() == c.rows() && c.rows() == c.cols(),
-              "sparse_dense: dimension mismatch");
+  PHMSE_CHECK(h.cols() == c.rows(), "sparse_dense: dimension mismatch");
   const Index m = h.rows();
   const Index n = c.cols();
   g.resize_zero(m, n);
@@ -145,6 +144,11 @@ void gain_times_residual(par::ExecContext& ctx, const Matrix& v,
 
 void covariance_downdate(par::ExecContext& ctx, const Matrix& w, Matrix& c) {
   detail::covariance_downdate_impl<BlasPanels>(ctx, w, c);
+}
+
+void downdate_rows(par::ExecContext& ctx, const Matrix& a, const Matrix& w,
+                   Matrix& t) {
+  detail::downdate_rows_impl<BlasPanels>(ctx, a, w, t);
 }
 
 void gram(par::ExecContext& ctx, const Matrix& w, Matrix& out) {

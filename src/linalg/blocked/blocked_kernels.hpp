@@ -20,7 +20,8 @@
 
 namespace phmse::linalg::blocked {
 
-/// G = H * C; scalar per-nonzero row axpy.  Category: d-s.
+/// G = H * C (H: m x t, C: t x n); scalar per-nonzero row axpy.
+/// Category: d-s.
 void sparse_dense(par::ExecContext& ctx, const Csr& h, const Matrix& c,
                   Matrix& g);
 
@@ -43,6 +44,10 @@ void gain_times_residual(par::ExecContext& ctx, const Matrix& v,
 /// C -= W^T * W on the lower triangle as register-tiled rank-m panel
 /// updates (backend.hpp).  Category: m-v.
 void covariance_downdate(par::ExecContext& ctx, const Matrix& w, Matrix& c);
+
+/// T -= A^T * W with the downdate's tn panel (backend.hpp).  Category: vec.
+void downdate_rows(par::ExecContext& ctx, const Matrix& a, const Matrix& w,
+                   Matrix& t);
 
 /// out = W^T * W, register-tiled with strip-wise zero-init.  Category: m-m.
 void gram(par::ExecContext& ctx, const Matrix& w, Matrix& out);

@@ -13,6 +13,19 @@ double Csr::at(Index i, Index j) const {
   return 0.0;
 }
 
+void Csr::renumber_columns(std::span<const Index> cols, Csr& out) const {
+  out.cols_ = static_cast<Index>(cols.size());
+  out.row_ptr_.assign(row_ptr_.begin(), row_ptr_.end());
+  out.values_.assign(values_.begin(), values_.end());
+  out.col_idx_.resize(col_idx_.size());
+  for (std::size_t k = 0; k < col_idx_.size(); ++k) {
+    const auto it = std::lower_bound(cols.begin(), cols.end(), col_idx_[k]);
+    PHMSE_CHECK(it != cols.end() && *it == col_idx_[k],
+                "renumber_columns: a nonzero column is not listed");
+    out.col_idx_[k] = static_cast<Index>(it - cols.begin());
+  }
+}
+
 Index CsrBuilder::begin_row() {
   flush_row();
   in_row_ = true;

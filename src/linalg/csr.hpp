@@ -45,6 +45,13 @@ class Csr {
   /// Dense entry lookup (O(row nnz)); for tests and small cases.
   double at(Index i, Index j) const;
 
+  /// Writes into `out` this matrix with every column index replaced by its
+  /// position in `cols`, which must be ascending, duplicate-free and list
+  /// every column holding a nonzero; `out` gets cols.size() columns.  The
+  /// map is monotone, so each row keeps its nonzero order.  Reuses `out`'s
+  /// storage.
+  void renumber_columns(std::span<const Index> cols, Csr& out) const;
+
  private:
   friend class CsrBuilder;
 

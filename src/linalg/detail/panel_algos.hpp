@@ -190,6 +190,47 @@ void covariance_downdate_impl(par::ExecContext& ctx, const Matrix& w,
   ctx.parallel(perf::Category::kMatVec, row_pairs(n), cost, body);
 }
 
+// T -= A^T W (category vec): the delayed sweep's replay of its pending
+// downdates over the gathered rows of C (backend.hpp, downdate_rows).  One
+// tn panel with coefficient alpha * A(l, s) = -W(l, r_s), exactly the
+// coefficient covariance_downdate_impl feeds row r_s, so every element
+// runs the downdate's own fma chain.  Lanes take column slices; the k x t
+// coefficient block stays resident across them.
+template <class Panels>
+void downdate_rows_impl(par::ExecContext& ctx, const Matrix& a,
+                        const Matrix& w, Matrix& t) {
+  PHMSE_CHECK(a.rows() == w.rows() && a.cols() == t.rows() &&
+                  w.cols() == t.cols(),
+              "downdate_rows: shape mismatch");
+  const Index k = w.rows();
+  const Index rows = t.rows();
+  const Index n = t.cols();
+
+  auto cost = [&](Index begin, Index end) {
+    par::KernelStats st;
+    const double cols = static_cast<double>(end - begin);
+    st.flops = 2.0 * static_cast<double>(k) * static_cast<double>(rows) *
+               cols;
+    // T's slice read+written once, W's slice streamed once per row tile
+    // from cache, the coefficients once.
+    st.bytes_stream =
+        kBytesPerDouble * (2.0 * static_cast<double>(rows) * cols +
+                           static_cast<double>(k) * cols +
+                           static_cast<double>(k) * static_cast<double>(rows));
+    st.resident_bytes = kBytesPerDouble * static_cast<double>(k) *
+                        static_cast<double>(std::min(n, kGemmColStrip));
+    st.resident_sweeps = static_cast<double>(rows) /
+                         static_cast<double>(kGemmRowTile);
+    return st;
+  };
+  auto body = [&](Index begin, Index end, int /*lane*/) {
+    if (k <= 0 || rows <= 0 || end <= begin) return;
+    Panels::tn_acc(-1.0, a.data(), rows, w.data() + begin, n,
+                   t.data() + begin, n, rows, k, end - begin);
+  };
+  ctx.parallel(perf::Category::kVector, n, cost, body);
+}
+
 // out = W^T W with the zero-init folded into the first reduction tile.
 template <class Panels>
 void gram_impl(par::ExecContext& ctx, const Matrix& w, Matrix& out) {

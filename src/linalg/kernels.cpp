@@ -211,4 +211,47 @@ void mirror_lower_rows(par::ExecContext& ctx, std::span<const Index> rows,
   ctx.parallel(Category::kVector, n, cost, body);
 }
 
+void gather_lower_rows(par::ExecContext& ctx, const Matrix& c,
+                       std::span<const Index> rows, Matrix& t) {
+  PHMSE_CHECK(c.rows() == c.cols(),
+              "gather_lower_rows: matrix must be square");
+  const Index n = c.rows();
+  const auto count = static_cast<Index>(rows.size());
+  PHMSE_CHECK(count == 0 || (rows.front() >= 0 && rows.back() < n),
+              "gather_lower_rows: row index out of range");
+  t.resize(count, n);
+  auto cost = [&](Index begin, Index end) {
+    // Columns j <= r copy a contiguous stretch of row r; columns j > r
+    // gather down column r.
+    double along = 0.0;
+    for (const Index r : rows) {
+      along += static_cast<double>(
+          std::max<Index>(0, std::min(end, r + 1) - begin));
+    }
+    const double copies =
+        static_cast<double>(count) * static_cast<double>(end - begin);
+    KernelStats st;
+    st.bytes_stream = kBytes * (copies + along);
+    st.bytes_irregular = kBytes * (copies - along);
+    return st;
+  };
+  // Columns in kMirrorTile blocks, as in mirror_lower_rows: the block's
+  // rows of C, whose lines hold the column entries the listed rows read,
+  // stay cache-resident across the whole row list.
+  auto body = [&](Index begin, Index end, int /*lane*/) {
+    const double* const base = c.data();
+    for (Index j0 = begin; j0 < end; j0 += kMirrorTile) {
+      const Index j1 = std::min(j0 + kMirrorTile, end);
+      for (Index s = 0; s < count; ++s) {
+        const Index r = rows[static_cast<std::size_t>(s)];
+        double* const dst = t.row(s).data();
+        const Index split = std::clamp(r + 1, j0, j1);
+        std::copy(base + r * n + j0, base + r * n + split, dst + j0);
+        for (Index j = split; j < j1; ++j) dst[j] = base[j * n + r];
+      }
+    }
+  };
+  ctx.parallel(Category::kVector, n, cost, body);
+}
+
 }  // namespace phmse::linalg

@@ -34,8 +34,9 @@
 
 namespace phmse::linalg {
 
-/// G = H * C.  H: m x n sparse, C: n x n dense, G resized to m x n.
-/// Parallel over the m rows of G.  Category: d-s.
+/// G = H * C.  H: m x t sparse, C: t x n dense (n x n for the plain
+/// sweep; the gathered rows of C, see gather_lower_rows, for a delayed
+/// one), G resized to m x n.  Parallel over the m rows of G.  Category: d-s.
 void sparse_dense(par::ExecContext& ctx, const Csr& h, const Matrix& c,
                   Matrix& g);
 
@@ -105,5 +106,13 @@ void mirror_lower(par::ExecContext& ctx, Matrix& c);
 /// Category: vec.
 void mirror_lower_rows(par::ExecContext& ctx, std::span<const Index> rows,
                        Matrix& c);
+
+/// T(s, j) = C(r, j) for j <= r and C(j, r) for j > r, with r = rows[s]:
+/// the listed rows of a symmetric C read from its lower triangle alone, as
+/// a delayed sweep needs them before G = H C (estimation/update.hpp).
+/// `rows` must be ascending and duplicate-free; T is resized to
+/// rows.size() x n.  Parallel over columns.  Category: vec.
+void gather_lower_rows(par::ExecContext& ctx, const Matrix& c,
+                       std::span<const Index> rows, Matrix& t);
 
 }  // namespace phmse::linalg

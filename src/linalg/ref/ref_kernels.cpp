@@ -126,6 +126,37 @@ void covariance_downdate(par::ExecContext& ctx, const Matrix& w, Matrix& c) {
   ctx.parallel(Category::kMatVec, n, cost, body);
 }
 
+void downdate_rows(par::ExecContext& ctx, const Matrix& a, const Matrix& w,
+                   Matrix& t) {
+  PHMSE_CHECK(a.rows() == w.rows() && a.cols() == t.rows() &&
+                  w.cols() == t.cols(),
+              "downdate_rows: shape mismatch");
+  const Index m = w.rows();
+  const Index n = t.cols();
+
+  auto cost = [&](Index begin, Index end) {
+    KernelStats st;
+    const double rows = static_cast<double>(end - begin);
+    st.flops = 2.0 * rows * static_cast<double>(m) * static_cast<double>(n);
+    st.bytes_stream =
+        kBytes * (2.0 * rows * static_cast<double>(n) +
+                  static_cast<double>(m) * static_cast<double>(n));
+    st.resident_bytes = kBytes * static_cast<double>(m) *
+                        static_cast<double>(n);
+    st.resident_sweeps = rows;
+    return st;
+  };
+  auto body = [&](Index begin, Index end, int /*lane*/) {
+    for (Index s = begin; s < end; ++s) {
+      double* trow = t.row(s).data();
+      for (Index j = 0; j < m; ++j) {
+        axpy(-a(j, s), w.row(j).data(), trow, n);
+      }
+    }
+  };
+  ctx.parallel(Category::kVector, t.rows(), cost, body);
+}
+
 void gram(par::ExecContext& ctx, const Matrix& w, Matrix& out) {
   const Index m = w.rows();
   const Index n = w.cols();

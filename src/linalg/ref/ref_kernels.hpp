@@ -33,6 +33,11 @@ void trsm_lower_transposed(par::ExecContext& ctx, const Matrix& l, Matrix& b);
 /// C -= W^T * W on every entry, both triangles; scalar row-axpy reference.
 void covariance_downdate(par::ExecContext& ctx, const Matrix& w, Matrix& c);
 
+/// T -= A^T * W with covariance_downdate's row axpy: row s of T takes
+/// -A(l, s) times row l of W for ascending l.
+void downdate_rows(par::ExecContext& ctx, const Matrix& a, const Matrix& w,
+                   Matrix& t);
+
 /// out = W^T * W (out resized to n x n); scalar row-axpy reference.
 void gram(par::ExecContext& ctx, const Matrix& w, Matrix& out);
 

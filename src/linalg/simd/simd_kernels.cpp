@@ -645,6 +645,79 @@ struct SimdPanels {
 };
 
 // ---------------------------------------------------------------------------
+// Packed rank-k covariance downdate (AVX-512).
+//
+// The rank-m panel above re-reads its whole k x strip B panel once per
+// 4-row tile, so a rank-64 call runs no faster per flop than four rank-16
+// calls.  The packed tile turns the extra rank into fewer passes over C:
+// 8 rows x 24 columns of C live in 24 zmm accumulators through the whole
+// reduction, each k step is 3 loads of W and 24 fmas whose coefficients
+// -W(k, i) are broadcast from an 8-wide k-major pack, and column blocks of
+// kPackCols columns are the outer loop so the k x kPackCols block of W
+// stays in L2 while every row tile of the lane sweeps it.  Each element is
+// fma(-W(k, i), W(k, j), acc) over ascending k from acc = C(i, j): the
+// panel's chain, so the lower triangle is bitwise the panel's.
+
+#if PHMSE_SIMD_X86
+
+// Smallest rank the packed tile takes; below it the panel is as fast.
+constexpr Index kPackedMinRank = 32;
+// Column block: 20 tiles of 24 columns.  The k x 480 block of W is 240 KB
+// at k = 64, well inside L2.
+constexpr Index kPackCols = 480;
+// Reduction chunk: the pack holds at most kPackK x 8 coefficients (16 KB,
+// on the stack); longer reductions store C between chunks, which leaves
+// every chain untouched.
+constexpr Index kPackK = 256;
+
+// C[0..8) x [0..qn) += pack^T W over kk reduction steps, qn <= 24.  Masked
+// lanes never load or store, so a partial tile keeps the same chains.
+PHMSE_TGT_AVX512 void packed_tile8x24_avx512(const double* pack,
+                                             const double* w, Index ldw,
+                                             double* c, Index ldc, Index kk,
+                                             Index qn) {
+  auto mask = [](Index cols) -> __mmask8 {
+    if (cols >= 8) return 0xFF;
+    if (cols <= 0) return 0;
+    return static_cast<__mmask8>((1u << static_cast<unsigned>(cols)) - 1u);
+  };
+  const __mmask8 m0 = mask(qn);
+  const __mmask8 m1 = mask(qn - 8);
+  const __mmask8 m2 = mask(qn - 16);
+  __m512d acc[8][3];
+#pragma GCC unroll 8
+  for (int r = 0; r < 8; ++r) {
+    const double* cr = c + r * ldc;
+    acc[r][0] = _mm512_maskz_loadu_pd(m0, cr);
+    acc[r][1] = _mm512_maskz_loadu_pd(m1, cr + 8);
+    acc[r][2] = _mm512_maskz_loadu_pd(m2, cr + 16);
+  }
+  for (Index k = 0; k < kk; ++k) {
+    const double* const wk = w + k * ldw;
+    const __m512d b0 = _mm512_maskz_loadu_pd(m0, wk);
+    const __m512d b1 = _mm512_maskz_loadu_pd(m1, wk + 8);
+    const __m512d b2 = _mm512_maskz_loadu_pd(m2, wk + 16);
+    const double* const pk = pack + 8 * k;
+#pragma GCC unroll 8
+    for (int r = 0; r < 8; ++r) {
+      const __m512d a = _mm512_set1_pd(pk[r]);
+      acc[r][0] = _mm512_fmadd_pd(a, b0, acc[r][0]);
+      acc[r][1] = _mm512_fmadd_pd(a, b1, acc[r][1]);
+      acc[r][2] = _mm512_fmadd_pd(a, b2, acc[r][2]);
+    }
+  }
+#pragma GCC unroll 8
+  for (int r = 0; r < 8; ++r) {
+    double* cr = c + r * ldc;
+    _mm512_mask_storeu_pd(cr, m0, acc[r][0]);
+    _mm512_mask_storeu_pd(cr + 8, m1, acc[r][1]);
+    _mm512_mask_storeu_pd(cr + 16, m2, acc[r][2]);
+  }
+}
+
+#endif  // PHMSE_SIMD_X86
+
+// ---------------------------------------------------------------------------
 // Vectorized axpy (y[i] = fma(a, x[i], y[i])) for the streaming kernels.
 
 #if PHMSE_SIMD_X86
@@ -740,16 +813,102 @@ AxpyFn axpy_fma() {
   return fn;
 }
 
+#if PHMSE_SIMD_X86
+
+// The packed tile over the rows [lo, hi) of one lane, restricted to the
+// column block [j0, j1): full 8-row tiles through packed_tile8x24_avx512,
+// a short last tile through the panel (same chains).  Only columns up to
+// each tile's last row are touched, as in covariance_downdate_impl.
+PHMSE_TGT_AVX512 void packed_block_rows(const Matrix& w, Matrix& c,
+                                        Index lo, Index hi, Index j0,
+                                        Index j1, double* pack) {
+  const Index kk = w.rows();
+  const Index n = c.rows();
+  const double* const wd = w.data();
+  for (Index i0 = lo; i0 < hi; i0 += 8) {
+    const Index rows = std::min<Index>(8, hi - i0);
+    const Index jend = std::min(j1, i0 + rows);
+    if (jend <= j0) continue;
+    double* const ct = c.row(i0).data();
+    if (rows < 8) {
+      gemm_panel(Isa::kAvx512, /*trans=*/true, /*zero=*/false, -1.0,
+                 wd + i0, n, wd + j0, n, ct + j0, n, rows, kk, jend - j0);
+      continue;
+    }
+    for (Index k0 = 0; k0 < kk; k0 += kPackK) {
+      const Index kc = std::min(kPackK, kk - k0);
+      for (Index k = 0; k < kc; ++k) {
+        const double* const src = wd + (k0 + k) * n + i0;
+        for (int r = 0; r < 8; ++r) pack[8 * k + r] = -src[r];
+      }
+      for (Index q = j0; q < jend; q += 24) {
+        packed_tile8x24_avx512(pack, wd + k0 * n + q, n, ct + q, n, kc,
+                               std::min<Index>(24, jend - q));
+      }
+    }
+  }
+}
+
+void packed_downdate(par::ExecContext& ctx, const Matrix& w, Matrix& c) {
+  PHMSE_CHECK(c.rows() == c.cols() && c.rows() == w.cols(),
+              "covariance_downdate: C shape mismatch");
+  const Index kk = w.rows();
+  const Index n = c.rows();
+
+  auto cost = [&](Index begin, Index end) {
+    KernelStats st;
+    double entries = 0.0;
+    double rows = 0.0;
+    detail::for_pair_rows(n, begin, end, [&](Index lo, Index hi) {
+      entries += detail::lower_entries(lo, hi);
+      rows += static_cast<double>(hi - lo);
+    });
+    st.flops = 2.0 * static_cast<double>(kk) * entries;
+    // C's lower entries read+written once; W's compulsory traffic once.
+    st.bytes_stream =
+        kBytes * (2.0 * entries +
+                  static_cast<double>(kk) * static_cast<double>(n));
+    // The k x kPackCols block of W stays resident while every 8-row tile
+    // sweeps it.
+    st.resident_bytes = kBytes * static_cast<double>(kk) *
+                        static_cast<double>(std::min(n, kPackCols));
+    st.resident_sweeps = rows / 8.0;
+    return st;
+  };
+  auto body = [&](Index begin, Index end, int /*lane*/) {
+    alignas(64) double pack[kPackK * 8];
+    Index ranges[2][2];
+    int count = 0;
+    Index top = 0;
+    detail::for_pair_rows(n, begin, end, [&](Index lo, Index hi) {
+      ranges[count][0] = lo;
+      ranges[count][1] = hi;
+      ++count;
+      top = std::max(top, hi);
+    });
+    for (Index j0 = 0; j0 < top; j0 += kPackCols) {
+      const Index j1 = std::min(j0 + kPackCols, top);
+      for (int r = 0; r < count; ++r) {
+        packed_block_rows(w, c, ranges[r][0], ranges[r][1], j0, j1, pack);
+      }
+    }
+  };
+  ctx.parallel(Category::kMatVec, detail::row_pairs(n), cost, body);
+}
+
+#endif  // PHMSE_SIMD_X86
+
 }  // namespace
 
 const char* active_isa() { return isa_name(active()); }
 
 bool available() { return active() != Isa::kScalar; }
 
+Index delay_min_dim() { return active() == Isa::kAvx512 ? kDelayMinDim : 0; }
+
 void sparse_dense(par::ExecContext& ctx, const Csr& h, const Matrix& c,
                   Matrix& g) {
-  PHMSE_CHECK(h.cols() == c.rows() && c.rows() == c.cols(),
-              "sparse_dense: dimension mismatch");
+  PHMSE_CHECK(h.cols() == c.rows(), "sparse_dense: dimension mismatch");
   const Index m = h.rows();
   const Index n = c.cols();
   g.resize_zero(m, n);
@@ -815,7 +974,18 @@ void gain_times_residual(par::ExecContext& ctx, const Matrix& v,
 }
 
 void covariance_downdate(par::ExecContext& ctx, const Matrix& w, Matrix& c) {
+#if PHMSE_SIMD_X86
+  if (active() == Isa::kAvx512 && w.rows() >= kPackedMinRank) {
+    packed_downdate(ctx, w, c);
+    return;
+  }
+#endif
   detail::covariance_downdate_impl<SimdPanels>(ctx, w, c);
+}
+
+void downdate_rows(par::ExecContext& ctx, const Matrix& a, const Matrix& w,
+                   Matrix& t) {
+  detail::downdate_rows_impl<SimdPanels>(ctx, a, w, t);
 }
 
 void gram(par::ExecContext& ctx, const Matrix& w, Matrix& out) {

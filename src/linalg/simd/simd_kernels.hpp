@@ -40,6 +40,12 @@
 
 namespace phmse::linalg::simd {
 
+/// The state dimension from which apply_all delays its downdates on the
+/// AVX-512 set (Backend::delay_min_dim).  Chosen by the kernels_regress
+/// apply_all_root4 row pairs at n in {1020, 1536, 2046, 2697}: the smallest
+/// n where the delayed sweep beat the eager one in every run (EXPERIMENTS.md).
+inline constexpr Index kDelayMinDim = 2046;
+
 /// The microkernel set this process resolved to: "avx512", "avx2", "neon",
 /// or "scalar" (no usable set; the registry bypasses these kernels then).
 /// Resolved once at first use and cached.
@@ -48,7 +54,12 @@ const char* active_isa();
 /// True when a vector microkernel set is usable (active_isa() != "scalar").
 bool available();
 
-/// G = H * C with vectorized per-nonzero row axpy.  Category: d-s.
+/// Backend::delay_min_dim for this process: kDelayMinDim when the AVX-512
+/// set (and with it the packed downdate tile) is active, else 0.
+Index delay_min_dim();
+
+/// G = H * C (H: m x t, C: t x n) with vectorized per-nonzero row axpy.
+/// Category: d-s.
 void sparse_dense(par::ExecContext& ctx, const Csr& h, const Matrix& c,
                   Matrix& g);
 
@@ -64,8 +75,13 @@ void gain_times_residual(par::ExecContext& ctx, const Matrix& v,
                          const Vector& r, Vector& dx);
 
 /// C -= W^T * W on the lower triangle as simd rank-m panel updates
-/// (backend.hpp).  Category: m-v.
+/// (backend.hpp); on AVX-512, ranks >= 32 run the packed 8 x 24 tile over
+/// column blocks, with the same per-element chain.  Category: m-v.
 void covariance_downdate(par::ExecContext& ctx, const Matrix& w, Matrix& c);
+
+/// T -= A^T * W with the simd tn panel (backend.hpp).  Category: vec.
+void downdate_rows(par::ExecContext& ctx, const Matrix& a, const Matrix& w,
+                   Matrix& t);
 
 /// out = W^T * W with simd panels and strip-wise zero-init.  Category: m-m.
 void gram(par::ExecContext& ctx, const Matrix& w, Matrix& out);

@@ -20,6 +20,8 @@
 
 #include "constraints/helix_gen.hpp"
 #include "engine/engine.hpp"
+#include "estimation/update.hpp"
+#include "linalg/backend.hpp"
 #include "molecule/rna_helix.hpp"
 #include "support/rng.hpp"
 
@@ -100,6 +102,11 @@ long count_allocations(Fn&& fn) {
   fn();
   g_armed.store(false, std::memory_order_relaxed);
   return g_allocations.load(std::memory_order_relaxed);
+}
+
+par::ExecContext& ctx_for_test() {
+  static par::SerialContext ctx;
+  return ctx;
 }
 
 TEST(SteadyStateAllocations, TheHookSeesOrdinaryAllocations) {
@@ -229,6 +236,32 @@ TEST(SteadyStateAllocations, LowRankResolveAllocatesNothing) {
   });
   EXPECT_EQ(steady, 0)
       << "the low-rank re-solve touched the heap " << steady << " time(s)";
+}
+
+TEST(SteadyStateAllocations, DelayedSweepPastTheCutAllocatesNothing) {
+  // A node past the backend's delay_min_dim queues its downdates and
+  // gathers the rows H reads (estimation/update.hpp); queue, gather
+  // scratch and renumbered Jacobian are sized by reserve() and the first
+  // sweep, so later sweeps stay off the heap.  The cut is lowered to the
+  // helix-2 molecule's dimension so the case runs on every host.
+  mol::HelixModel model = mol::build_helix(2);
+  const cons::ConstraintSet set = cons::generate_helix_constraints(model);
+  Rng rng(4);
+  est::NodeState state = est::make_initial_state(
+      model.topology, 0, model.num_atoms(), 0.5, 0.2, rng);
+  linalg::Backend delayed = linalg::default_backend();
+  delayed.delay_min_dim = state.dim();
+  est::BatchUpdater updater;
+  updater.set_backend(&delayed);
+  updater.reserve(16, state.dim());
+  const est::NodeState start = state;
+  updater.apply_all(ctx_for_test(), state, set, 16);  // warm-up
+
+  state = start;
+  const long steady = count_allocations(
+      [&] { updater.apply_all(ctx_for_test(), state, set, 16); });
+  EXPECT_EQ(steady, 0)
+      << "the delayed sweep touched the heap " << steady << " time(s)";
 }
 
 }  // namespace
