@@ -22,8 +22,8 @@
 //   ./build/bench/kernels_regress            # writes BENCH_kernels.json
 //   ./build/bench/kernels_regress out.json   # explicit output path
 //
-// Honours PHMSE_BENCH_SCALE (< 0.5 switches to tiny smoke shapes for CI),
-// PHMSE_BENCH_SEED and PHMSE_BENCH_OUT (default output path).
+// Honours PHMSE_BENCH_SCALE (< 0.5 switches to tiny smoke shapes for CI)
+// and PHMSE_BENCH_SEED.
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -358,8 +358,8 @@ int run_all(const std::string& out_path) {
 
   // Headline: single-thread speedups per kernel at the largest measured
   // shape — blocked vs ref (acceptance bar >= 2x for covariance_downdate
-  // and gram at n >= 512) and simd vs blocked (bar >= 1.5x on the
-  // gemm-panel kernels; scripts/bench_check.py gates the geometric mean).
+  // and gram at n >= 512) and simd vs blocked (scripts/bench_check.py
+  // --gate simd checks the geometric mean over the gemm-panel shapes).
   auto best_at_largest = [&](const std::string& kernel,
                              const char* impl) -> const KernelBenchRecord* {
     const KernelBenchRecord* best = nullptr;
@@ -406,8 +406,5 @@ int run_all(const std::string& out_path) {
 }  // namespace phmse::bench
 
 int main(int argc, char** argv) {
-  const std::string out =
-      argc > 1 ? argv[1]
-               : phmse::env_string("PHMSE_BENCH_OUT", "BENCH_kernels.json");
-  return phmse::bench::run_all(out);
+  return phmse::bench::run_all(argc > 1 ? argv[1] : "BENCH_kernels.json");
 }

@@ -6,13 +6,14 @@
 // path allocates nothing).  The rows land in the same
 // phmse-kernel-bench-v1 JSON schema as the dense-kernel harness so
 // scripts/bench_check.py can track both against the committed
-// BENCH_kernels.json baseline.
+// BENCH_kernels.json baseline, and check the robustness, refine and
+// incremental gates on them (--gate NAME):
 //
 //   ./build/bench/solve_regress              # writes BENCH_solver.json
 //   ./build/bench/solve_regress out.json    # explicit output path
 //
-// Honours PHMSE_BENCH_SCALE (< 0.5 switches to a 2-bp smoke helix),
-// PHMSE_BENCH_SEED and PHMSE_BENCH_OUT (default output path).
+// Honours PHMSE_BENCH_SCALE (< 0.5 switches to a 2-bp smoke helix) and
+// PHMSE_BENCH_SEED.
 #include <algorithm>
 #include <cstdio>
 #include <string>
@@ -20,11 +21,67 @@
 
 #include "bench_util.hpp"
 #include "refine/refiner.hpp"
-#include "support/env.hpp"
 #include "support/stopwatch.hpp"
 
 namespace phmse::bench {
 namespace {
+
+// An interleaved estimate of how much slower `variant` runs than `steady`.
+// Each round runs both orders (steady-variant-variant-steady) so slot
+// effects — clock ramps, cache state left by the previous call — cancel
+// inside the round, keeping the per-round ratio unimodal, and a co-tenant
+// stealing the machine perturbs both the same way.  Two estimators of the
+// true variant/steady ratio:
+//  - blocked median: split the run into four time blocks, take each
+//    block's median ratio, keep the smallest.  A co-tenant burst skews the
+//    blocks it overlaps; any quiet window in the run leaves one block's
+//    median clean;
+//  - ratio of per-side minima: each minimum approximates that side's
+//    unloaded speed (same convention as time_best).
+// Both converge to the same value on a quiet machine; under load either
+// can be pushed high by noise, so the smaller of the two is the better
+// estimate of the unloaded ratio — the quantity the robustness and refine
+// gates are about.
+struct Interleaved {
+  double best_steady = 1e300;  // fastest steady call of any round
+  double ratio = 1.0;          // min(block-median, min-ratio)
+};
+
+template <class Steady, class Variant>
+Interleaved time_interleaved(int rounds, const Steady& steady,
+                             const Variant& variant) {
+  const auto timed = [](const auto& fn) {
+    Stopwatch s;
+    fn();
+    return s.seconds();
+  };
+  Interleaved out;
+  double best_variant = 1e300;
+  std::vector<double> ratios;
+  ratios.reserve(static_cast<std::size_t>(rounds));
+  for (int r = 0; r < rounds; ++r) {
+    const double s1 = timed(steady);
+    const double v1 = timed(variant);
+    const double v2 = timed(variant);
+    const double s2 = timed(steady);
+    out.best_steady = std::min({out.best_steady, s1, s2});
+    best_variant = std::min({best_variant, v1, v2});
+    ratios.push_back((v1 + v2) / (s1 + s2));
+  }
+  const int blocks = 4;
+  const int block_len = rounds / blocks;
+  double median_ratio = 1e300;
+  for (int b = 0; b < blocks; ++b) {
+    const auto begin = ratios.begin() + b * block_len;
+    std::nth_element(begin, begin + block_len / 2, begin + block_len);
+    median_ratio = std::min(median_ratio, begin[block_len / 2]);
+  }
+  const double min_ratio = best_variant / out.best_steady;
+  std::printf("  [estimators] block-median %+5.2f%%  min-ratio %+5.2f%%\n",
+              100.0 * (median_ratio - 1.0), 100.0 * (min_ratio - 1.0));
+  out.ratio = std::min(median_ratio, min_ratio);
+  return out;
+}
 
 int run_all(const std::string& out_path) {
   print_header("solve_regress",
@@ -63,63 +120,19 @@ int run_all(const std::string& out_path) {
     // (regularized retry + chi-squared gating).  On clean data the only
     // extra work is validation, the whitened-chi^2 dot product and the
     // report bookkeeping, so plan_solve_policy / plan_solve_steady is the
-    // robustness overhead ratio scripts/bench_check.py gates (< 2%).  The
-    // two are timed INTERLEAVED, taking each one's minimum across rounds:
-    // a co-tenant stealing the machine perturbs both the same way, so the
-    // ratio of minima is stable even when the absolute times are not.
+    // robustness overhead that scripts/bench_check.py --gate robustness
+    // checks.  The policy row is stored as best_steady * ratio so the JSON
+    // keeps the schema (absolute seconds) while the gated quantity stays a
+    // same-round comparison.
     core::HierSolveOptions popts;
     popts.policy = est::SolvePolicy::gate_outliers();
     engine::Plan policy_plan = make_helix_plan(p, 1, popts);
     policy_plan.solve(p.initial);  // warm-up
 
     const int rounds = smoke ? 96 : 64;
-    double best_steady = 1e300;
-    double best_policy_raw = 1e300;
-    std::vector<double> ratios;
-    ratios.reserve(static_cast<std::size_t>(rounds));
-    const auto timed_solve = [&](engine::Plan& pl) {
-      Stopwatch s;
-      pl.solve(p.initial);
-      return s.seconds();
-    };
-    for (int r = 0; r < rounds; ++r) {
-      // Each round runs both orders (steady-policy-policy-steady) so slot
-      // effects — clock ramps, cache state left by the previous solve —
-      // cancel inside the round, keeping the per-round ratio unimodal.
-      const double s1 = timed_solve(plan);
-      const double p1 = timed_solve(policy_plan);
-      const double p2 = timed_solve(policy_plan);
-      const double s2 = timed_solve(plan);
-      best_steady = std::min({best_steady, s1, s2});
-      best_policy_raw = std::min({best_policy_raw, p1, p2});
-      ratios.push_back((p1 + p2) / (s1 + s2));
-    }
-    // Two estimators of the true policy/steady ratio:
-    //  - blocked median: split the run into four time blocks, take each
-    //    block's median ratio, keep the smallest.  A co-tenant burst
-    //    skews the blocks it overlaps; any quiet window in the run
-    //    leaves one block's median clean;
-    //  - ratio of per-kernel minima: each minimum approximates the
-    //    kernel's unloaded speed (same convention as time_best).
-    // Both converge to the same value on a quiet machine; under load
-    // either can be pushed high by noise, so the smaller of the two is
-    // the better estimate of the unloaded ratio — which is the quantity
-    // the < 2% gate is about.  The policy row is stored as
-    // best_steady * ratio so the JSON keeps the schema (absolute
-    // seconds) while the gated quantity stays a same-round comparison.
-    const int blocks = 4;
-    const int block_len = rounds / blocks;
-    double median_ratio = 1e300;
-    for (int b = 0; b < blocks; ++b) {
-      const auto begin = ratios.begin() + b * block_len;
-      std::nth_element(begin, begin + block_len / 2, begin + block_len);
-      median_ratio = std::min(median_ratio, begin[block_len / 2]);
-    }
-    const double min_ratio = best_policy_raw / best_steady;
-    std::printf("  [estimators] block-median %+5.2f%%  min-ratio %+5.2f%%\n",
-                100.0 * (median_ratio - 1.0), 100.0 * (min_ratio - 1.0));
-    const double best_policy =
-        best_steady * std::min(median_ratio, min_ratio);
+    const auto steady = [&] { plan.solve(p.initial); };
+    const Interleaved policy = time_interleaved(
+        rounds, steady, [&] { policy_plan.solve(p.initial); });
 
     KernelBenchRecord rec;
     rec.kernel = "plan_solve_steady";
@@ -128,7 +141,7 @@ int run_all(const std::string& out_path) {
     rec.n = n;
     rec.threads = 1;
     rec.reps = rounds;
-    rec.seconds = best_steady;
+    rec.seconds = policy.best_steady;
     std::printf("  %-18s %9.3f ms\n", "plan_solve_steady",
                 rec.seconds * 1e3);
     records.push_back(rec);
@@ -140,7 +153,7 @@ int run_all(const std::string& out_path) {
     prec.n = n;
     prec.threads = 1;
     prec.reps = rounds;
-    prec.seconds = best_policy;
+    prec.seconds = policy.best_steady * policy.ratio;
     std::printf("  %-18s %9.3f ms  (overhead %+5.2f%%)\n",
                 "plan_solve_policy", prec.seconds * 1e3,
                 100.0 * (prec.seconds / rec.seconds - 1.0));
@@ -150,38 +163,12 @@ int run_all(const std::string& out_path) {
     // (DESIGN.md §14).  The controller's only additions are token arming
     // and two controller-side residual sweeps over the constraints, so
     // plan_solve_refine / plan_solve_steady is the refinement monitoring
-    // overhead — gated < 2% by scripts/bench_check.py
-    // --max-refine-overhead via the same interleaved two-estimator
-    // methodology as the policy row above.
+    // overhead that --gate refine checks, estimated like the policy row and
+    // scaled by the same best steady time.
     refine::Refiner refiner(plan, refine::RefineOptions{});
     refiner.refine(p.initial);  // warm-up: trajectory capacity allocates
-    double best_steady_rf = 1e300;
-    double best_refine_raw = 1e300;
-    std::vector<double> rf_ratios;
-    rf_ratios.reserve(static_cast<std::size_t>(rounds));
-    for (int r = 0; r < rounds; ++r) {
-      const double s1 = timed_solve(plan);
-      Stopwatch f1w;
-      refiner.refine(p.initial);
-      const double f1 = f1w.seconds();
-      Stopwatch f2w;
-      refiner.refine(p.initial);
-      const double f2 = f2w.seconds();
-      const double s2 = timed_solve(plan);
-      best_steady_rf = std::min({best_steady_rf, s1, s2});
-      best_refine_raw = std::min({best_refine_raw, f1, f2});
-      rf_ratios.push_back((f1 + f2) / (s1 + s2));
-    }
-    double rf_median_ratio = 1e300;
-    for (int b = 0; b < blocks; ++b) {
-      const auto begin = rf_ratios.begin() + b * block_len;
-      std::nth_element(begin, begin + block_len / 2, begin + block_len);
-      rf_median_ratio = std::min(rf_median_ratio, begin[block_len / 2]);
-    }
-    const double rf_min_ratio = best_refine_raw / best_steady_rf;
-    std::printf("  [estimators] block-median %+5.2f%%  min-ratio %+5.2f%%\n",
-                100.0 * (rf_median_ratio - 1.0),
-                100.0 * (rf_min_ratio - 1.0));
+    const Interleaved refined = time_interleaved(
+        rounds, steady, [&] { refiner.refine(p.initial); });
     KernelBenchRecord rrec;
     rrec.kernel = "plan_solve_refine";
     rrec.impl = "engine";
@@ -189,7 +176,7 @@ int run_all(const std::string& out_path) {
     rrec.n = n;
     rrec.threads = 1;
     rrec.reps = rounds;
-    rrec.seconds = best_steady * std::min(rf_median_ratio, rf_min_ratio);
+    rrec.seconds = policy.best_steady * refined.ratio;
     std::printf("  %-18s %9.3f ms  (overhead %+5.2f%%)\n",
                 "plan_solve_refine", rrec.seconds * 1e3,
                 100.0 * (rrec.seconds / rec.seconds - 1.0));
@@ -210,9 +197,9 @@ int run_all(const std::string& out_path) {
     //    C.H^T.R^-1.dz from the archived Jacobian row — O(k n) per rebind,
     //    first-order accurate, exact fallback whenever it cannot answer.
     // The fast path is what a caller uses for repeated single-slot
-    // rebinds, so it is the committed plan_solve_incremental row;
-    // scripts/bench_check.py gates plan_solve_steady /
-    // plan_solve_incremental >= 3x.
+    // rebinds, so it is the committed plan_solve_incremental row that
+    // scripts/bench_check.py --gate incremental checks against
+    // plan_solve_steady.
     engine::Plan full_plan = make_helix_plan(p, 1);
     engine::Plan inc_plan = make_helix_plan(p, 1);
     engine::Plan lr_plan = make_helix_plan(p, 1);
@@ -291,8 +278,5 @@ int run_all(const std::string& out_path) {
 }  // namespace phmse::bench
 
 int main(int argc, char** argv) {
-  const std::string out =
-      argc > 1 ? argv[1]
-               : phmse::env_string("PHMSE_BENCH_OUT", "BENCH_solver.json");
-  return phmse::bench::run_all(out);
+  return phmse::bench::run_all(argc > 1 ? argv[1] : "BENCH_solver.json");
 }

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validate and compare phmse bench JSON documents.
+"""Validate, gate and compare phmse bench JSON documents.
 
 Two document schemas are understood, distinguished by their "schema" key:
 
@@ -8,87 +8,41 @@ Two document schemas are understood, distinguished by their "schema" key:
   phmse-service-bench-v1  — bench/service_regress (multi-tenant solve
                             service throughput and latency, DESIGN.md §10).
 
-Two modes:
+Validate a document (schema + internal consistency) and check gates on it:
+      scripts/bench_check.py --validate BENCH_kernels.json --gate simd
+      scripts/bench_check.py --validate BENCH_service.json \
+          --gate warm --gate deadline
 
-  Validate only (schema + internal consistency):
-      scripts/bench_check.py --validate BENCH_kernels.json
-      scripts/bench_check.py --validate BENCH_service.json
-
-  Compare a fresh run against the committed baseline:
+Compare a fresh run against the committed baseline:
       scripts/bench_check.py --baseline BENCH_kernels.json \
-          --current build/BENCH_kernels.json [--tolerance 0.25] [--report-only]
+          --current build/BENCH_kernels.json [--report-only] [--gate NAME]
 
 Kernel records are matched by (kernel, impl, m, n, threads) and compared
 on best-rep seconds (lower is better); service records are matched by
 (workload, mode, tenants, requests, workers) and compared on solves/sec
 (higher is better).  A configuration regresses when it degrades beyond
-the tolerance band (default 25% — wide because the harness runs on shared
-machines).  Matched configs that improved, and configs present on only one
-side, are reported but never fail the check.  --report-only prints the
-comparison but always exits 0 (used by the CI smoke job, whose tiny shapes
+TOLERANCE (25% — wide because the harness runs on shared machines).
+Matched configs that improved, and configs present on only one side, are
+reported but never fail the check.  --report-only prints the comparison
+but exits 0 on regressions (used by the CI smoke job, whose tiny shapes
 are not comparable to the committed full-scale baseline).
 
---max-robustness-overhead [FRACTION] (default 0.02 when given) adds an
-INTRA-document check: wherever a kernel document contains both a
-plan_solve_steady and a plan_solve_policy row for the same configuration,
-the policy row must not exceed the steady row by more than the fraction
-(DESIGN.md §9 — the always-on validation/report path must stay < 2%).
+--gate NAME (repeatable) checks one GATES row on the validated document,
+or on --current: a ratio of two rows of one document, recorded by one
+interleaved run on one machine, so it is meaningful at any scale and
+--report-only does not silence it.  Naming a gate asserts its rows exist:
+no matching row pair, or a document of the other schema, FAILS the check
+— a renamed or dropped bench row must not silently retire a gate.
 
---min-warm-speedup [FACTOR] (default 5.0 when given) adds the service
-analogue: wherever a service document contains both a cold and a warm row
-for the same configuration, warm solves/sec must be at least FACTOR times
-cold solves/sec (DESIGN.md §10 — the plan cache must pay for itself).
-
---max-deadline-overhead [FRACTION] (default 0.02 when given) gates the
-deadline machinery: wherever a service document contains both a warm and
-a deadline row for the same configuration, deadline solves/sec must not
-fall below warm solves/sec by more than the fraction (DESIGN.md §13 —
-the deadline row is the warm workload with a generous never-firing
-budget on every request, so warm/deadline is the pure cost of arming the
-cancel token and polling it at batch/node boundaries).
-
---min-simd-speedup [FACTOR] (default 1.5 when given) gates the simd
-backend's microkernels: for each gemm-panel kernel (covariance_downdate,
-gram) the geometric mean over the single-thread shapes of
-blocked-seconds / simd-seconds must reach FACTOR (DESIGN.md §12 — the
-explicit vector tiles must pay for themselves over the auto-vectorized
-blocked kernels; the geometric mean keeps one memory-bound outlier shape
-from hiding a regression at the compute-bound shapes and vice versa).
-
---min-incremental-speedup [FACTOR] (default 3.0 when given) gates the
-incremental rebind fast path: wherever a kernel document contains both a
-plan_solve_steady and a plan_solve_incremental row for the same
-configuration, the incremental row must be at least FACTOR times faster
-(DESIGN.md §11 — a single-constraint rebind takes the low-rank root
-shift, O(k n) against the full tree's dense sweeps, falling back to the
-exact dirty-subtree replay only when it cannot answer).
-
---max-refine-overhead [FRACTION] (default 0.02 when given) gates the
-outer-loop refinement subsystem: wherever a kernel document contains
-both a plan_solve_steady and a plan_solve_refine row for the same
-configuration, the refine row must not exceed the steady row by more
-than the fraction (DESIGN.md §14 — a single_pass refine::Refiner is the
-plain solve plus convergence monitoring, and that monitoring must stay
-< 2%).
-
-Both intra-document rows come from the same interleaved run on the same
-machine, so unlike the cross-run baseline comparison these checks are
-meaningful at any scale and are NOT silenced by --report-only.
-
-Passing an intra-document gate flag asserts that the named rows exist:
-a document with no matching row pair, or of the wrong schema for the
-gate, FAILS the check rather than skipping it — a renamed or dropped
-bench row must not silently retire the gate.  The one exception is
---min-simd-speedup on a document recorded with simd_isa=scalar (no
-vector unit on the recording machine), which skips with a note.
-
-Exit status: 0 ok / report-only, 1 regression found, 2 invalid input.
+Exit status: 0 ok / report-only, 1 regression or gate violation, 2 invalid
+input.
 """
 
 import argparse
 import json
 import math
 import sys
+from collections import namedtuple
 
 KERNEL_SCHEMA = "phmse-kernel-bench-v1"
 SERVICE_SCHEMA = "phmse-service-bench-v1"
@@ -107,21 +61,15 @@ KNOWN_KERNELS = {
     "apply_all_root4_delayed",
     "apply_all_root4_eager",
     # Solver-level rows from bench/solve_regress: the two halves of the
-    # plan/execute split (Engine::compile vs steady-state plan.solve()).
+    # plan/execute split (Engine::compile vs steady-state plan.solve()),
+    # then the steady solve under the heaviest degradation policy, through
+    # a single_pass refine::Refiner, and as a single-constraint rebind
+    # (the robustness, refine and incremental GATES below).
     "plan_compile",
     "plan_solve_steady",
-    # Same steady-state solve under the heaviest degradation policy
-    # (retry + gating); plan_solve_policy / plan_solve_steady is the
-    # robustness overhead gated by --max-robustness-overhead.
     "plan_solve_policy",
-    # Single-constraint dirty-subtree re-solve (DESIGN.md §11);
-    # plan_solve_steady / plan_solve_incremental is the speedup gated by
-    # --min-incremental-speedup.
-    "plan_solve_incremental",
-    # Same steady-state solve routed through a single_pass refine::Refiner
-    # (DESIGN.md §14); plan_solve_refine / plan_solve_steady is the
-    # refinement monitoring overhead gated by --max-refine-overhead.
     "plan_solve_refine",
+    "plan_solve_incremental",
 }
 KNOWN_IMPLS = {"simd", "blocked", "ref", "engine"}
 KNOWN_MODES = {"cold", "warm", "deadline"}
@@ -155,6 +103,48 @@ SERVICE_FIELDS = {
     "queue_p99_ms": float,
     "cache_hits": int,
     "cache_misses": int,
+}
+
+# The fields that identify a configuration; a document holds one row each.
+KEY_FIELDS = {
+    KERNEL_SCHEMA: ("kernel", "impl", "m", "n", "threads"),
+    SERVICE_SCHEMA: ("workload", "mode", "tenants", "requests", "workers"),
+}
+TOLERANCE = 0.25
+
+Gate = namedtuple("Gate", "schema varies numer denom bound where group skip",
+                  defaults=({}, None, None))
+# A gate's numerator rows (key field `varies` == numer) must cost at most
+# `bound` x the denominator row (`varies` == denom) matching them on every
+# other key field, among the rows whose fields take a value `where` lists.
+# Pairs sharing a `group` value are judged on their geometric-mean ratio,
+# so one outlier shape can neither hide a regression nor fake one; without
+# a group each pair is judged alone.  A document whose header matches the
+# (field, value) `skip` is skipped with a note.
+GATES = {
+    # DESIGN.md §9: the heaviest degradation policy on clean data (the
+    # always-on validation/report path) costs < 2%.
+    "robustness": Gate(KERNEL_SCHEMA, "kernel", "plan_solve_policy",
+                       "plan_solve_steady", 1.02),
+    # §14: a single_pass refine::Refiner's convergence monitoring < 2%.
+    "refine": Gate(KERNEL_SCHEMA, "kernel", "plan_solve_refine",
+                   "plan_solve_steady", 1.02),
+    # §11: a single-constraint rebind through the low-rank root shift is
+    # >= 3x faster than a full solve.
+    "incremental": Gate(KERNEL_SCHEMA, "kernel", "plan_solve_incremental",
+                        "plan_solve_steady", 1 / 3),
+    # §12: the explicit vector microkernels pay >= 1.5x over the blocked
+    # backend on the gemm-panel kernels; meaningless when the recording
+    # machine had no vector unit and the simd rows ran the scalar fallback.
+    "simd": Gate(KERNEL_SCHEMA, "impl", "simd", "blocked", 1 / 1.5,
+                 where={"threads": (1,),
+                        "kernel": ("covariance_downdate", "gram")},
+                 group="kernel", skip=("simd_isa", "scalar")),
+    # §10: the plan cache pays for itself, >= 5x warm over cold throughput.
+    "warm": Gate(SERVICE_SCHEMA, "mode", "warm", "cold", 1 / 5),
+    # §13: a never-firing deadline on every request (the cancel token armed
+    # and polled at batch/node boundaries) costs < 2% of warm throughput.
+    "deadline": Gate(SERVICE_SCHEMA, "mode", "deadline", "warm", 1.02),
 }
 
 
@@ -225,435 +215,142 @@ def validate(doc, path):
 
 
 def key(doc, rec):
-    if is_service(doc):
-        return (rec["workload"], rec["mode"], rec["tenants"],
-                rec["requests"], rec["workers"])
-    return (rec["kernel"], rec["impl"], rec["m"], rec["n"], rec["threads"])
+    return tuple(rec[f] for f in KEY_FIELDS[doc["schema"]])
 
 
-def gate_missing(path, what):
-    """A gate flag was passed but its rows are absent: fail, don't skip.
-
-    Silently returning 0 here would let a renamed or dropped bench row
-    retire a CI gate without anyone noticing; the caller asserted the
-    rows exist by passing the flag, so their absence is a violation.
-    """
-    print(f"bench_check: GATE FAILED: {path} {what}; the gate flag asserts "
-          "those rows exist (rename/drop the flag if this is intentional)")
-    return 1
+def cost(doc, rec):
+    """What one row costs, lower is better: seconds, or seconds per solve."""
+    return 1.0 / rec["solves_per_sec"] if is_service(doc) else rec["seconds"]
 
 
-def ratio_pair_check(doc, path, numer_kernel, denom_kernel, label, judge):
-    """Shared walk for the intra-document solver-row ratio gates.
-
-    Pairs numer_kernel against denom_kernel rows by configuration and
-    lets `judge(ratio) -> (violated, line)` score each pair.  Returns
-    the violation count; an empty pairing fails via gate_missing.
-    """
-    if is_service(doc):
-        return gate_missing(
-            path, f"is a service document ({label} needs kernel rows)")
-
-    def config(rec):
-        return (rec["impl"], rec["m"], rec["n"], rec["threads"])
-
-    denom = {config(r): r for r in doc["results"]
-             if r["kernel"] == denom_kernel}
-    numer = {config(r): r for r in doc["results"]
-             if r["kernel"] == numer_kernel}
-    violations = 0
-    checked = 0
-    for cfg in sorted(denom.keys() & numer.keys()):
-        checked += 1
-        ratio = numer[cfg]["seconds"] / denom[cfg]["seconds"]
-        tag = "{} m={} n={} t={}".format(*cfg)
-        violated, line = judge(ratio)
-        violations += 1 if violated else 0
-        print("  {:8s} {} {} {}".format(
-            "REGRESS" if violated else "ok", label, tag, line))
-    if not checked:
-        violations += gate_missing(
-            path, f"has no {denom_kernel}/{numer_kernel} row pair")
-    return violations
+def describe(ratio, bound):
+    """A cost ratio the way its gate's bound reads: an overhead where the
+    bound allows a slowdown, a speedup where it demands one."""
+    if bound >= 1.0:
+        return f"{100.0 * (ratio - 1.0):+.2f}%"
+    return f"{1.0 / ratio:.2f}x"
 
 
-def check_robustness_overhead(doc, path, max_overhead):
-    """Intra-document plan_solve_policy vs plan_solve_steady gate.
-
-    Returns the number of violations.  The two rows are produced by the
-    same interleaved run (bench/solve_regress), so their ratio is a
-    machine-independent overhead measurement.
-    """
-    def judge(ratio):
-        overhead = ratio - 1.0
-        return overhead > max_overhead, "{:+.2f}% (limit {:+.2f}%)".format(
-            100.0 * overhead, 100.0 * max_overhead)
-
-    return ratio_pair_check(doc, path, "plan_solve_policy",
-                            "plan_solve_steady", "robustness overhead",
-                            judge)
-
-
-def check_refine_overhead(doc, path, max_overhead):
-    """Intra-document plan_solve_refine vs plan_solve_steady gate.
-
-    Returns the number of violations.  The refine row routes the
-    identical steady-state solve through a single_pass refine::Refiner
-    in the same interleaved run (bench/solve_regress), so the ratio is
-    the pure cost of the convergence monitoring (DESIGN.md §14).
-    """
-    def judge(ratio):
-        overhead = ratio - 1.0
-        return overhead > max_overhead, "{:+.2f}% (limit {:+.2f}%)".format(
-            100.0 * overhead, 100.0 * max_overhead)
-
-    return ratio_pair_check(doc, path, "plan_solve_refine",
-                            "plan_solve_steady", "refine overhead", judge)
-
-
-def check_incremental_speedup(doc, path, min_speedup):
-    """Intra-document plan_solve_incremental vs plan_solve_steady gate.
-
-    Returns the number of violations.  Both rows come from the same
-    interleaved run in the same process (bench/solve_regress); the
-    incremental row rebinds one constraint and re-solves via the low-rank
-    fast path (solve_lowrank), so steady / incremental is the rebind
-    payoff independent of the machine's absolute speed.
-    """
-    def judge(ratio):
-        speedup = 1.0 / ratio
-        return speedup < min_speedup, "{:.2f}x (floor {:.2f}x)".format(
-            speedup, min_speedup)
-
-    return ratio_pair_check(doc, path, "plan_solve_incremental",
-                            "plan_solve_steady", "incremental speedup",
-                            judge)
-
-
-def check_simd_speedup(doc, path, min_speedup):
-    """Intra-document simd vs blocked gate on the gemm-panel kernels.
-
-    Returns the number of violations.  Both impl rows come from the same
-    interleaved run (bench/kernels_regress) through pinned backend tables,
-    so the ratio measures the microkernels' payoff independent of the
-    machine's absolute speed.  Gated per kernel on the geometric mean over
-    all matched single-thread shapes.
-    """
-    if is_service(doc):
-        return gate_missing(
-            path, "is a service document (simd speedup needs kernel rows)")
-
-    # The one legitimate skip: the recording machine had no vector unit,
-    # so the simd rows ran the scalar fallback and the ratio is
-    # meaningless rather than missing.
-    if doc.get("simd_isa") == "scalar":
-        print(f"bench_check: note: {path} simd rows ran without vector "
-              "microkernels (simd_isa=scalar); simd speedup not checked")
+def check_gate(doc, path, name):
+    """Checks GATES[name] on `doc`; returns the number of violations."""
+    gate = GATES[name]
+    rows = doc["results"] if doc["schema"] == gate.schema else []
+    if rows and gate.skip and doc.get(gate.skip[0]) == gate.skip[1]:
+        print(f"bench_check: note: {path} was recorded with "
+              f"{gate.skip[0]}={gate.skip[1]}; {name} gate not checked")
         return 0
-
-    gemm_panel_kernels = ("covariance_downdate", "gram")
-    blocked = {(r["kernel"], r["m"], r["n"]): r for r in doc["results"]
-               if r["impl"] == "blocked" and r["threads"] == 1
-               and r["kernel"] in gemm_panel_kernels}
-    simd = {(r["kernel"], r["m"], r["n"]): r for r in doc["results"]
-            if r["impl"] == "simd" and r["threads"] == 1
-            and r["kernel"] in gemm_panel_kernels}
-    matched = sorted(blocked.keys() & simd.keys())
-    violations = 0
-    checked = False
-    for kernel in gemm_panel_kernels:
-        cfgs = [k for k in matched if k[0] == kernel]
-        if not cfgs:
+    fields = [f for f in KEY_FIELDS[gate.schema] if f != gate.varies]
+    rows = [r for r in rows
+            if all(r[f] in values for f, values in gate.where.items())]
+    denom = {tuple(r[f] for f in fields): r for r in rows
+             if r[gate.varies] == gate.denom}
+    groups = {}
+    for rec in rows:
+        config = tuple(rec[f] for f in fields)
+        if rec[gate.varies] != gate.numer or config not in denom:
             continue
-        checked = True
-        log_sum = 0.0
-        for cfg in cfgs:
-            speedup = blocked[cfg]["seconds"] / simd[cfg]["seconds"]
-            log_sum += math.log(speedup)
-            print("           simd speedup {} m={} n={} t=1 {:.2f}x"
-                  .format(*cfg, speedup))
-        geomean = math.exp(log_sum / len(cfgs))
-        if geomean < min_speedup:
-            violations += 1
-            verdict = "REGRESS"
-        else:
-            verdict = "ok"
-        print("  {:8s} simd speedup {} geomean {:.2f}x over {} shape(s) "
-              "(floor {:.2f}x)".format(verdict, kernel, geomean, len(cfgs),
-                                       min_speedup))
-    if not checked:
-        violations += gate_missing(
-            path, "has no simd/blocked row pair on the gemm-panel kernels")
-    return violations
+        tag = " ".join(f"{f}={v}" for f, v in zip(fields, config))
+        group = f"{gate.group}={rec[gate.group]}" if gate.group else tag
+        groups.setdefault(group, []).append(
+            (tag, cost(doc, rec) / cost(doc, denom[config])))
+    if not groups:
+        # Passing here would let a renamed or dropped bench row retire a CI
+        # gate unnoticed: naming the gate asserted that its rows exist.
+        print(f"bench_check: GATE FAILED: {path} ({doc['schema']}) has no "
+              f"{gate.numer}/{gate.denom} row pair; --gate {name} asserts "
+              "those rows exist (drop it from the call if intentional)")
+        return 1
 
-
-def check_warm_speedup(doc, path, min_speedup):
-    """Intra-document warm vs cold throughput gate for service documents.
-
-    Returns the number of violations.  Both rows come from the same
-    back-to-back run (bench/service_regress), so the ratio measures the
-    plan cache's payoff independent of the machine's absolute speed.
-    """
-    if not is_service(doc):
-        return gate_missing(
-            path, "is a kernel document (warm speedup needs service rows)")
-
-    def config(rec):
-        return (rec["workload"], rec["tenants"], rec["requests"],
-                rec["workers"])
-
-    cold = {config(r): r for r in doc["results"] if r["mode"] == "cold"}
-    warm = {config(r): r for r in doc["results"] if r["mode"] == "warm"}
     violations = 0
-    checked = 0
-    for cfg in sorted(cold.keys() & warm.keys()):
-        checked += 1
-        speedup = (warm[cfg]["solves_per_sec"] /
-                   cold[cfg]["solves_per_sec"])
-        tag = "{} tenants={} requests={} workers={}".format(*cfg)
-        if speedup < min_speedup:
-            violations += 1
-            verdict = "REGRESS"
-        else:
-            verdict = "ok"
-        print("  {:8s} warm speedup {} {:.2f}x (floor {:.2f}x)"
-              .format(verdict, tag, speedup, min_speedup))
-    if not checked:
-        violations += gate_missing(path, "has no cold/warm row pair")
+    for group, pairs in sorted(groups.items()):
+        ratio = math.prod(r for _, r in pairs) ** (1.0 / len(pairs))
+        if gate.group:
+            for tag, r in pairs:
+                print(f"           {name} {tag} {describe(r, gate.bound)}")
+            group += f" (geomean of {len(pairs)} pairs)"
+        violations += ratio > gate.bound
+        print("  {:8s} {} {} {} (bound {})".format(
+            "REGRESS" if ratio > gate.bound else "ok", name, group,
+            describe(ratio, gate.bound), describe(gate.bound, gate.bound)))
     return violations
 
 
-def check_deadline_overhead(doc, path, max_overhead):
-    """Intra-document deadline vs warm throughput gate for service docs.
-
-    Returns the number of violations.  Both rows come from the same
-    back-to-back run (bench/service_regress) over identical cached
-    traffic — the deadline row merely arms a 30s budget that never
-    fires — so warm/deadline - 1 is the cancel-token polling overhead
-    independent of the machine's absolute speed.
-    """
-    if not is_service(doc):
-        return gate_missing(
-            path,
-            "is a kernel document (deadline overhead needs service rows)")
-
-    def config(rec):
-        return (rec["workload"], rec["tenants"], rec["requests"],
-                rec["workers"])
-
-    warm = {config(r): r for r in doc["results"] if r["mode"] == "warm"}
-    deadline = {config(r): r for r in doc["results"]
-                if r["mode"] == "deadline"}
-    violations = 0
-    checked = 0
-    for cfg in sorted(warm.keys() & deadline.keys()):
-        checked += 1
-        overhead = (warm[cfg]["solves_per_sec"] /
-                    deadline[cfg]["solves_per_sec"] - 1.0)
-        tag = "{} tenants={} requests={} workers={}".format(*cfg)
-        if overhead > max_overhead:
-            violations += 1
-            verdict = "REGRESS"
-        else:
-            verdict = "ok"
-        print("  {:8s} deadline overhead {} {:+.2f}% (limit {:+.2f}%)"
-              .format(verdict, tag, 100.0 * overhead, 100.0 * max_overhead))
-    if not checked:
-        violations += gate_missing(path, "has no warm/deadline row pair")
-    return violations
-
-
-def compare(baseline, current, tolerance):
-    """Returns (lines, regression_count) for the matched configurations."""
-    service = is_service(baseline)
+def compare(baseline, current):
+    """Prints every configuration's verdict; returns the regression count."""
+    fields = KEY_FIELDS[baseline["schema"]]
+    value = "solves_per_sec" if is_service(baseline) else "seconds"
     base = {key(baseline, r): r for r in baseline["results"]}
     curr = {key(current, r): r for r in current["results"]}
-    lines = []
     regressions = 0
     for k in sorted(base.keys() | curr.keys()):
-        if service:
-            tag = "{}/{} tenants={} requests={} workers={}".format(*k)
-        else:
-            tag = "{}/{} m={} n={} t={}".format(*k)
+        tag = "{}/{} ".format(*k) + " ".join(
+            f"{f}={v}" for f, v in zip(fields[2:], k[2:]))
         if k not in curr:
-            lines.append(f"  MISSING  {tag} (in baseline only)")
+            print(f"  MISSING  {tag} (in baseline only)")
             continue
         if k not in base:
-            lines.append(f"  NEW      {tag} (no baseline)")
+            print(f"  NEW      {tag} (no baseline)")
             continue
-        if service:
-            # Throughput: higher is better; degradation ratio mirrors the
-            # kernel seconds ratio so one tolerance band covers both.
-            b = base[k]["solves_per_sec"]
-            c = curr[k]["solves_per_sec"]
-            ratio = b / c if c > 0 else float("inf")
-            detail = "{:.1f}/s -> {:.1f}/s".format(b, c)
-        else:
-            b, c = base[k]["seconds"], curr[k]["seconds"]
-            ratio = c / b
-            detail = "{:.3e}s -> {:.3e}s".format(b, c)
-        if ratio > 1.0 + tolerance:
+        # Compared on cost, so one tolerance band covers seconds (lower is
+        # better) and solves/sec (higher is better).
+        ratio = cost(current, curr[k]) / cost(baseline, base[k])
+        verdict = "ok"
+        if ratio > 1.0 + TOLERANCE:
             regressions += 1
             verdict = "REGRESS"
-        elif ratio < 1.0 - tolerance:
+        elif ratio < 1.0 - TOLERANCE:
             verdict = "faster"
-        else:
-            verdict = "ok"
-        lines.append(
-            "  {:8s} {} {} ({:+.1f}%)".format(
-                verdict, tag, detail, 100.0 * (ratio - 1.0)
-            )
-        )
-    return lines, regressions
+        print(f"  {verdict:8s} {tag} {value} {base[k][value]:.4g} -> "
+              f"{curr[k][value]:.4g} ({100.0 * (ratio - 1.0):+.1f}%)")
+    return regressions
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--validate", metavar="JSON",
-                    help="validate a single document and exit")
+                    help="validate a single document")
     ap.add_argument("--baseline", metavar="JSON",
                     help="committed baseline document")
     ap.add_argument("--current", metavar="JSON",
                     help="freshly produced document to compare")
-    ap.add_argument("--tolerance", type=float, default=0.25,
-                    help="allowed degradation fraction (default 0.25)")
     ap.add_argument("--report-only", action="store_true",
-                    help="print the comparison but always exit 0")
-    ap.add_argument("--max-robustness-overhead", metavar="FRACTION",
-                    type=float, nargs="?", const=0.02, default=None,
-                    help="fail if plan_solve_policy exceeds plan_solve_steady "
-                         "by more than FRACTION within a kernel document "
-                         "(default 0.02 when the flag is given); "
-                         "not silenced by --report-only")
-    ap.add_argument("--min-warm-speedup", metavar="FACTOR",
-                    type=float, nargs="?", const=5.0, default=None,
-                    help="fail if warm solves/sec is below FACTOR times cold "
-                         "solves/sec within a service document "
-                         "(default 5.0 when the flag is given); "
-                         "not silenced by --report-only")
-    ap.add_argument("--max-deadline-overhead", metavar="FRACTION",
-                    type=float, nargs="?", const=0.02, default=None,
-                    help="fail if deadline solves/sec falls below warm "
-                         "solves/sec by more than FRACTION within a service "
-                         "document (default 0.02 when the flag is given); "
-                         "not silenced by --report-only")
-    ap.add_argument("--min-simd-speedup", metavar="FACTOR",
-                    type=float, nargs="?", const=1.5, default=None,
-                    help="fail if the geometric mean of blocked/simd seconds "
-                         "over the single-thread gemm-panel shapes is below "
-                         "FACTOR within a kernel document (default 1.5 when "
-                         "the flag is given); not silenced by --report-only")
-    ap.add_argument("--min-incremental-speedup", metavar="FACTOR",
-                    type=float, nargs="?", const=3.0, default=None,
-                    help="fail if plan_solve_incremental is not at least "
-                         "FACTOR times faster than plan_solve_steady within "
-                         "a kernel document (default 3.0 when the flag is "
-                         "given); not silenced by --report-only")
-    ap.add_argument("--max-refine-overhead", metavar="FRACTION",
-                    type=float, nargs="?", const=0.02, default=None,
-                    help="fail if plan_solve_refine exceeds plan_solve_steady "
-                         "by more than FRACTION within a kernel document "
-                         "(default 0.02 when the flag is given); "
-                         "not silenced by --report-only")
+                    help="print the comparison but exit 0 on regressions")
+    ap.add_argument("--gate", metavar="NAME", action="append", default=[],
+                    choices=list(GATES),
+                    help="check a GATES row on the validated or current "
+                         "document (repeatable): " + ", ".join(GATES))
     args = ap.parse_args()
 
-    if args.max_robustness_overhead is not None \
-            and args.max_robustness_overhead < 0:
-        ap.error("--max-robustness-overhead must be >= 0")
-    if args.min_warm_speedup is not None and args.min_warm_speedup < 1:
-        ap.error("--min-warm-speedup must be >= 1")
-    if args.max_deadline_overhead is not None \
-            and args.max_deadline_overhead < 0:
-        ap.error("--max-deadline-overhead must be >= 0")
-    if args.min_incremental_speedup is not None \
-            and args.min_incremental_speedup < 1:
-        ap.error("--min-incremental-speedup must be >= 1")
-    if args.max_refine_overhead is not None and args.max_refine_overhead < 0:
-        ap.error("--max-refine-overhead must be >= 0")
-    if args.min_simd_speedup is not None and args.min_simd_speedup < 1:
-        ap.error("--min-simd-speedup must be >= 1")
-
+    regressions = 0
     if args.validate:
-        doc = load(args.validate)
-        print(f"bench_check: {args.validate}: valid {doc['schema']}")
-        bad = 0
-        if args.max_robustness_overhead is not None:
-            bad += check_robustness_overhead(doc, args.validate,
-                                             args.max_robustness_overhead)
-        if args.min_warm_speedup is not None:
-            bad += check_warm_speedup(doc, args.validate,
-                                      args.min_warm_speedup)
-        if args.max_deadline_overhead is not None:
-            bad += check_deadline_overhead(doc, args.validate,
-                                           args.max_deadline_overhead)
-        if args.min_incremental_speedup is not None:
-            bad += check_incremental_speedup(doc, args.validate,
-                                             args.min_incremental_speedup)
-        if args.max_refine_overhead is not None:
-            bad += check_refine_overhead(doc, args.validate,
-                                         args.max_refine_overhead)
-        if args.min_simd_speedup is not None:
-            bad += check_simd_speedup(doc, args.validate,
-                                      args.min_simd_speedup)
-        if bad:
-            print(f"bench_check: {bad} intra-document violation(s)")
-            return 1
-        return 0
-
-    if not args.baseline or not args.current:
-        ap.error("need --validate, or both --baseline and --current")
-    if args.tolerance < 0:
-        ap.error("--tolerance must be >= 0")
-
-    baseline = load(args.baseline)
-    current = load(args.current)
-    if baseline["schema"] != current["schema"]:
-        fail(f"cannot compare {baseline['schema']} against "
-             f"{current['schema']}")
-    if baseline["bench_scale"] != current["bench_scale"]:
-        print(
-            "bench_check: note: bench_scale differs "
-            f"({baseline['bench_scale']} vs {current['bench_scale']}); "
-            "timings are not directly comparable"
-        )
-
-    lines, regressions = compare(baseline, current, args.tolerance)
-    print(f"bench_check: {args.baseline} vs {args.current} "
-          f"(tolerance {args.tolerance:.0%}):")
-    for line in lines:
-        print(line)
-
-    intra_violations = 0
-    if args.max_robustness_overhead is not None:
-        intra_violations += check_robustness_overhead(
-            current, args.current, args.max_robustness_overhead)
-    if args.min_warm_speedup is not None:
-        intra_violations += check_warm_speedup(
-            current, args.current, args.min_warm_speedup)
-    if args.max_deadline_overhead is not None:
-        intra_violations += check_deadline_overhead(
-            current, args.current, args.max_deadline_overhead)
-    if args.min_incremental_speedup is not None:
-        intra_violations += check_incremental_speedup(
-            current, args.current, args.min_incremental_speedup)
-    if args.max_refine_overhead is not None:
-        intra_violations += check_refine_overhead(
-            current, args.current, args.max_refine_overhead)
-    if args.min_simd_speedup is not None:
-        intra_violations += check_simd_speedup(
-            current, args.current, args.min_simd_speedup)
-    if intra_violations:
-        print(f"bench_check: {intra_violations} intra-document violation(s)")
-
-    if regressions:
-        print(f"bench_check: {regressions} configuration(s) regressed")
-        if not args.report_only:
-            return 1
+        path, doc = args.validate, load(args.validate)
+        print(f"bench_check: {path}: valid {doc['schema']}")
+    elif args.baseline and args.current:
+        baseline = load(args.baseline)
+        path, doc = args.current, load(args.current)
+        if baseline["schema"] != doc["schema"]:
+            fail(f"cannot compare {baseline['schema']} against "
+                 f"{doc['schema']}")
+        if baseline["bench_scale"] != doc["bench_scale"]:
+            print("bench_check: note: bench_scale differs "
+                  f"({baseline['bench_scale']} vs {doc['bench_scale']}); "
+                  "timings are not directly comparable")
+        print(f"bench_check: {args.baseline} vs {path} "
+              f"(tolerance {TOLERANCE:.0%}):")
+        regressions = compare(baseline, doc)
+        print(f"bench_check: {regressions} configuration(s) regressed"
+              if regressions else "bench_check: no regressions")
+        if args.report_only:
+            regressions = 0
     else:
-        print("bench_check: no regressions")
-    # Intra-document: both rows come from the same run, so --report-only's
-    # cross-machine rationale does not apply.
-    return 1 if intra_violations else 0
+        ap.error("need --validate, or both --baseline and --current")
+
+    # Gates compare rows of one run, so --report-only's cross-machine
+    # rationale does not apply to them.
+    violations = sum(check_gate(doc, path, name) for name in args.gate)
+    if violations:
+        print(f"bench_check: {violations} intra-document violation(s)")
+    return 1 if regressions or violations else 0
 
 
 if __name__ == "__main__":

@@ -61,8 +61,10 @@ class BatchUpdater {
   BatchUpdater() = default;
 
   /// Pins the kernel backend this updater calls through (linalg/backend.hpp).
-  /// Null (the default) means the process-default backend, re-read on every
-  /// apply so a test that swaps PHMSE_BACKEND between solves is honored.
+  /// Null (the default) means linalg::default_backend(), which reads
+  /// PHMSE_BACKEND once per process, on first use, into a function-local
+  /// static: changing the variable afterwards has no effect.  To switch
+  /// backends within a process, pin one here.
   /// The pointer must outlive the updater; registry backends are static.
   void set_backend(const linalg::Backend* backend) { backend_ = backend; }
 
