@@ -9,6 +9,10 @@
 // measurements are pinned regardless of PHMSE_BACKEND or what default
 // dispatch resolves to.
 //
+// The m = 16 rows of sparse_dense, innovation_covariance, trsm_lower
+// (L 16 x 16) and cholesky (n = 16) time the m-sized steps of one batch
+// at the node sizes a hierarchical solve visits.
+//
 // Two row sets justify the delayed sweep of estimation/update.hpp:
 // covariance_downdate at rank 64 (one flush of four rank-16 batches) beside
 // rank 16 at the ribo30S root's n = 2697, and the apply_all_root4_delayed /
@@ -24,6 +28,7 @@
 //
 // Honours PHMSE_BENCH_SCALE (< 0.5 switches to tiny smoke shapes for CI)
 // and PHMSE_BENCH_SEED.
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -352,6 +357,66 @@ int run_all(const std::string& out_path) {
     }
   }
 
+  // The m-sized steps of one batch at the solve's node sizes (helix-2/3/4
+  // and 8 nodes, the ribo30S root): G = H C (d-s; n = 129 is the row
+  // above), S = G H^T + R (m-m), W = L^{-1} G with L 16 x 16 (sys) and the
+  // 16 x 16 factorization of S (chol).  Their own generator keeps the rows
+  // above on their committed inputs.
+  Rng batch_rng(
+      static_cast<std::uint64_t>(env_long("PHMSE_BENCH_SEED", 1234)) + 1);
+  const std::vector<Index> node_dims =
+      smoke ? std::vector<Index>{36} : std::vector<Index>{36, 129, 258, 1020,
+                                                          2697};
+  Matrix l16 = random_spd(m, batch_rng);
+  linalg::cholesky_serial(l16);
+  for (const Index n : node_dims) {
+    const linalg::Csr jac = random_jacobian(m, n, batch_rng);
+    const Matrix c = random_matrix(n, n, batch_rng);
+    const Matrix g0 = random_matrix(m, n, batch_rng);
+    linalg::Vector rdiag(static_cast<std::size_t>(m), 0.04);
+    const double dm = static_cast<double>(m);
+    const double dn = static_cast<double>(n);
+    const double nnz = static_cast<double>(jac.nnz());
+    const bool ds_listed =
+        std::find(sparse_dims.begin(), sparse_dims.end(), n) !=
+        sparse_dims.end();
+    Matrix g = g0;
+    Matrix s;
+    for (const int t : thread_counts) {
+      for (const Backend* b : impls) {
+        if (!ds_listed) {
+          h.run("sparse_dense", b->name, m, n, t, 2.0 * nnz * dn,
+                8.0 * (dm * dn + nnz * dn),
+                [&](par::ExecContext& ctx) {
+                  b->sparse_dense(ctx, jac, c, g);
+                });
+        }
+        h.run("innovation_covariance", b->name, m, n, t, 2.0 * dm * nnz,
+              8.0 * (dm * dn + dm * nnz), [&](par::ExecContext& ctx) {
+                b->innovation_covariance(ctx, g0, jac, rdiag, s);
+              });
+        h.run("trsm_lower", b->name, m, n, t, dn * dm * dm,
+              8.0 * (dn * dm + 0.5 * dm * dm), [&](par::ExecContext& ctx) {
+                g = g0;
+                b->trsm_lower(ctx, l16, g);
+              });
+      }
+    }
+  }
+  const Matrix s16 = random_spd(m, batch_rng);
+  for (const int t : thread_counts) {
+    for (const Backend* b : impls) {
+      Matrix a = s16;
+      h.run("cholesky", b->name, 0, m, t,
+            static_cast<double>(m * m * m) / 3.0,
+            8.0 * static_cast<double>(m * m), [&](par::ExecContext& ctx) {
+              a = s16;
+              const linalg::CholeskyResult r = b->cholesky_factor(ctx, a, 48);
+              PHMSE_CHECK(r.ok(), "bench cholesky: not positive definite");
+            });
+    }
+  }
+
   write_kernel_bench_json(out_path, h.records);
   std::printf("\nwrote %zu records to %s\n", h.records.size(),
               out_path.c_str());
@@ -373,7 +438,7 @@ int run_all(const std::string& out_path) {
   for (const std::string kernel :
        {"covariance_downdate", "gram", "trsm_lower",
         "trsm_lower_transposed", "cholesky", "sparse_dense",
-        "gain_times_residual"}) {
+        "innovation_covariance", "gain_times_residual"}) {
     const KernelBenchRecord* simd = best_at_largest(kernel, "simd");
     const KernelBenchRecord* blocked = best_at_largest(kernel, "blocked");
     const KernelBenchRecord* ref = best_at_largest(kernel, "ref");

@@ -53,6 +53,7 @@ KNOWN_KERNELS = {
     "trsm_lower_transposed",
     "cholesky",
     "sparse_dense",
+    "innovation_covariance",
     "gain_times_residual",
     # One apply_all sweep of four root-shaped batches through a copy of the
     # simd table that always delays its downdates, and one that never does

@@ -199,7 +199,10 @@ void SolvePlan::assemble_from_children_(par::ExecContext& ctx, NodeWork& w) {
   NodeState& state = w.state;
   const Index n = state.dim();
   state.x.resize(static_cast<std::size_t>(n));
-  state.c.resize_zero(n, n);
+  // Every entry is written below: each lane zeroes its own rows around the
+  // child segment, so the n^2 clear runs inside the charged region and on
+  // every lane of the team.
+  state.c.resize(n, n);
 
   auto cost = [&](Index begin, Index end) {
     par::KernelStats st;
@@ -219,8 +222,10 @@ void SolvePlan::assemble_from_children_(par::ExecContext& ctx, NodeWork& w) {
         if (row < offset + cdim) {
           const Index local = row - offset;
           const auto src = cs.c.row(local);
-          std::copy(src.begin(), src.end(),
-                    state.c.row(row).begin() + offset);
+          const auto dst = state.c.row(row);
+          std::fill(dst.begin(), dst.begin() + offset, 0.0);
+          std::copy(src.begin(), src.end(), dst.begin() + offset);
+          std::fill(dst.begin() + offset + cdim, dst.end(), 0.0);
           state.x[static_cast<std::size_t>(row)] =
               cs.x[static_cast<std::size_t>(local)];
           break;

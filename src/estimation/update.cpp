@@ -105,14 +105,7 @@ const linalg::Backend& BatchUpdater::backend_table_() const {
 }
 
 void BatchUpdater::collect_touched_() {
-  touched_.clear();
-  for (Index j = 0; j < h_.rows(); ++j) {
-    const auto cols = h_.row_indices(j);
-    touched_.insert(touched_.end(), cols.begin(), cols.end());
-  }
-  std::sort(touched_.begin(), touched_.end());
-  touched_.erase(std::unique(touched_.begin(), touched_.end()),
-                 touched_.end());
+  h_.nonzero_columns(touched_marks_, touched_);
 }
 
 void BatchUpdater::gather_product_(par::ExecContext& ctx,
@@ -366,9 +359,12 @@ void BatchUpdater::reserve(Index max_m, Index n) {
     gathered_.resize(0, n);
     coeff_.resize(0, 0);
   }
-  // The rows H reads, listed once per Jacobian nonzero before the sort
-  // and unique in collect_touched_.
+  // The rows H reads (at most one per Jacobian nonzero) and their
+  // marker bitmap.
   touched_.reserve(static_cast<std::size_t>(max_m * kMaxRowNnz));
+  touched_marks_.resize(std::max(touched_marks_.size(),
+                                 static_cast<std::size_t>((n + 63) / 64)),
+                        0);
 }
 
 void BatchUpdater::apply_all(par::ExecContext& ctx, NodeState& state,

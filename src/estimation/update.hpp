@@ -40,6 +40,7 @@
 // archive and the report are bitwise the eager sweep's.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -176,7 +177,8 @@ class BatchUpdater {
   /// The dispatch table: backend_, or the process default.
   const linalg::Backend& backend_table_() const;
 
-  /// Fills touched_ with the rows of C that h_ reads, ascending.
+  /// Fills touched_ with the rows of C that h_ reads, ascending (a
+  /// marker pass, Csr::nonzero_columns).
   void collect_touched_();
 
   /// G = H C from the gathered rows of a delayed sweep (see Sweep).
@@ -208,6 +210,7 @@ class BatchUpdater {
   linalg::Vector dx_;       // state correction (n)
   linalg::Vector w_;        // whitened residual L^-1 r (m)
   std::vector<Index> touched_;  // rows of C that H reads, ascending
+  std::vector<std::uint64_t> touched_marks_;  // collect_touched_'s bitmap
   bool positions_finite_ = true;  // set by linearize
 
   // Delayed sweeps only (see the file comment).

@@ -52,15 +52,17 @@ Backend make_blocked() {
 
 // Per-primitive fallback: when no microkernel set is usable the simd entry
 // points would just detour through the scalar panels, so point straight at
-// the blocked kernels instead.  innovation_covariance is gather-dominated
-// (a handful of nonzeros per constraint row) with nothing to vectorize, so
-// it always uses the blocked implementation.
+// the blocked kernels instead.  innovation_covariance has few nonzeros per
+// constraint row, but its lanes run over the rows of G: on AVX-512 eight
+// rows gather their columns at each H row's indices (simd_kernels.hpp);
+// the other sets run the blocked loop.
 Backend make_simd() {
   Backend b = make_blocked();
   b.name = "simd";
   b.simd_isa = simd::active_isa();
   if (simd::available()) {
     b.sparse_dense = simd::sparse_dense;
+    b.innovation_covariance = simd::innovation_covariance;
     b.trsm_lower = simd::trsm_lower;
     b.trsm_lower_transposed = simd::trsm_lower_transposed;
     b.gain_times_residual = simd::gain_times_residual;

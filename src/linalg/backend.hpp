@@ -53,11 +53,22 @@ struct Backend {
   const char* simd_isa;
 
   /// G = H * C for H: m x t sparse and C: t x n (square for the plain
-  /// sweep, the gathered rows of C for a delayed one).
+  /// sweep, the gathered rows of C for a delayed one).  Per element, over
+  /// row j's nonzeros in stored order from +0.0: g = fma(h_k, c(col_k, q),
+  /// g) on simd; blocked and ref run linalg::axpy's g += h_k * c(col_k, q),
+  /// fused only where the build contracts it.  Category: d-s.
   void (*sparse_dense)(par::ExecContext&, const Csr&, const Matrix&,
                        Matrix&);
+  /// S = G * H^T + diag(r): s(j, l) = s + h_k * g(j, col_k) over H row l
+  /// in stored order from +0.0, then + r_j on the diagonal.  simd keeps
+  /// the blocked loop's chain bitwise, fused or not as the build contracts
+  /// it (simd::kFusedScalarChains).  Category: m-m.
   void (*innovation_covariance)(par::ExecContext&, const Matrix&, const Csr&,
                                 const Vector&, Matrix&);
+  /// B <- L^{-1} B: b(i, q) receives fma(-L(i, p), b(p, q), .) over
+  /// ascending p, then a multiply by 1 / L(i, i) — one chain for blocked
+  /// and simd (the GEMM panel above each diagonal block and the block's
+  /// substitution run the same steps).  Category: sys.
   void (*trsm_lower)(par::ExecContext&, const Matrix&, Matrix&);
   void (*trsm_lower_transposed)(par::ExecContext&, const Matrix&, Matrix&);
   void (*gain_times_residual)(par::ExecContext&, const Matrix&, const Vector&,
@@ -83,6 +94,11 @@ struct Backend {
   void (*downdate_rows)(par::ExecContext&, const Matrix& a, const Matrix& w,
                         Matrix& t);
   void (*gram)(par::ExecContext&, const Matrix&, Matrix&);
+  /// In-place blocked Cholesky, returning the failing pivot.  blocked and
+  /// simd factor each diagonal panel with detail::cholesky_factor_panel's
+  /// chain (linalg::dot's chain from 0.0, d = a(j, j) - s, the !(d > 0)
+  /// check, sqrt, (a(i, j) - s) * (1 / d)), so they return the same pivot
+  /// and bits.  Category: chol.
   CholeskyResult (*cholesky_factor)(par::ExecContext&, Matrix&,
                                     Index block_size);
 

@@ -33,6 +33,13 @@ struct BlasPanels {
                           Index mm, Index kk, Index nn) {
     gemm_tn_zero_acc(alpha, a, lda, b, ldb, c, ldc, mm, kk, nn);
   }
+  static void trsm_diag(const double* l, Index ldl, double* b, Index ldb,
+                        Index bs, Index width) {
+    detail::forward_substitute_block(l, ldl, b, ldb, bs, width);
+  }
+  static Index chol_panel(Matrix& a, Index k, Index b) {
+    return detail::cholesky_factor_panel(a, k, b);
+  }
 };
 
 }  // namespace

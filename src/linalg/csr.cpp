@@ -1,6 +1,7 @@
 #include "linalg/csr.hpp"
 
 #include <algorithm>
+#include <bit>
 
 namespace phmse::linalg {
 
@@ -11,6 +12,28 @@ double Csr::at(Index i, Index j) const {
     if (idx[k] == j) return val[k];
   }
   return 0.0;
+}
+
+void Csr::nonzero_columns(std::vector<std::uint64_t>& marks,
+                          std::vector<Index>& out) const {
+  out.clear();
+  const auto words = static_cast<std::size_t>((cols_ + 63) / 64);
+  if (marks.size() < words) marks.resize(words, 0);
+  std::size_t lo = words;
+  std::size_t hi = 0;
+  for (const Index col : col_idx_) {
+    const auto w = static_cast<std::size_t>(col) / 64;
+    marks[w] |= std::uint64_t{1} << (col % 64);
+    lo = std::min(lo, w);
+    hi = std::max(hi, w + 1);
+  }
+  for (std::size_t w = lo; w < hi; ++w) {
+    std::uint64_t bits = marks[w];
+    marks[w] = 0;
+    for (; bits != 0; bits &= bits - 1) {
+      out.push_back(static_cast<Index>(64 * w) + std::countr_zero(bits));
+    }
+  }
 }
 
 void Csr::renumber_columns(std::span<const Index> cols, Csr& out) const {

@@ -6,6 +6,7 @@
 // O(m * n^2).
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -44,6 +45,14 @@ class Csr {
 
   /// Dense entry lookup (O(row nnz)); for tests and small cases.
   double at(Index i, Index j) const;
+
+  /// Sets `out` to the columns holding a nonzero, ascending and
+  /// duplicate-free, without a sort: one bit per column in `marks` is set
+  /// for every nonzero, then the marked words are read back in order and
+  /// cleared as they are read.  `marks` grows to cols() / 64 words on first
+  /// use and is all-zero again on return.
+  void nonzero_columns(std::vector<std::uint64_t>& marks,
+                       std::vector<Index>& out) const;
 
   /// Writes into `out` this matrix with every column index replaced by its
   /// position in `cols`, which must be ascending, duplicate-free and list

@@ -14,14 +14,22 @@
 //                        Index mm, Index kk, Index nn);   // C += a*A*B
 //     static void tn_acc(...);       // C += a*A^T*B, A stored kk x mm
 //     static void tn_zero_acc(...);  // C  = a*A^T*B (overwriting)
+//     static void trsm_diag(const double* l, Index ldl, double* b,
+//                           Index ldb, Index bs, Index width);
+//                                    // B <- L^{-1} B, one diagonal block
+//     static Index chol_panel(Matrix& a, Index k, Index b);
+//                                    // factors the block [k, k+b)
 //   };
 //
 // Determinism: every Panels implementation must accumulate each output
 // element as one std::fma chain over strictly ascending k (the contract
-// documented in blas.hpp).  The substitution loops below are elementwise,
-// so with a conforming Panels the whole driver stays bitwise identical
-// between serial and threaded execution — lane boundaries only change which
-// lane computes an element, never its rounding.
+// documented in blas.hpp).  trsm_diag and chol_panel must keep the chains
+// of forward_substitute_block and cholesky_factor_panel below, element by
+// element; the blocked backend runs those loops as they are.  Every step
+// is then elementwise, so with a conforming Panels the whole driver stays
+// bitwise identical between serial and threaded execution — lane
+// boundaries only change which lane computes an element, never its
+// rounding.
 #pragma once
 
 #include <algorithm>
@@ -37,14 +45,37 @@ namespace phmse::linalg::detail {
 
 inline constexpr double kBytesPerDouble = 8.0;
 
+// B <- L^{-1} B for one bs x bs diagonal block L (leading dimension ldl)
+// and the bs x width rows of B (ldb) it solves.  Element (i, q) receives
+// fma(-L(i, p), B(p, q), .) for ascending p < i, then a multiply by
+// 1 / L(i, i); the GEMM panel that applies the rows above the block runs
+// the same fma chain, so a Panels::trsm_diag may split the block at any
+// height.
+inline void forward_substitute_block(const double* l, Index ldl, double* b,
+                                     Index ldb, Index bs, Index width) {
+  for (Index i = 0; i < bs; ++i) {
+    double* bi = b + i * ldb;
+    const double* lrow = l + i * ldl;
+    for (Index p = 0; p < i; ++p) {
+      const double lip = lrow[p];
+      const double* bp = b + p * ldb;
+      for (Index q = 0; q < width; ++q) {
+        bi[q] = std::fma(-lip, bp[q], bi[q]);
+      }
+    }
+    const double inv = 1.0 / lrow[i];
+    for (Index q = 0; q < width; ++q) bi[q] *= inv;
+  }
+}
+
 // Blocked triangular solve over rows of L; see the original implementation
 // notes in kernels.cpp (PR 2).  Columns of B are independent; each lane owns
 // a column slice.  Per block [k0, k1): the contribution of the already-
 // solved rows is applied as one GEMM panel, then the diagonal block is
-// solved by direct substitution.  The substitution order seen by any single
-// element matches the scalar reference (ascending p for the forward solve),
-// so the backends agree to FMA-contraction round-off; see
-// linalg::ref::trsm_lower.
+// solved by direct substitution (Panels::trsm_diag for the forward solve).
+// The substitution order seen by any single element matches the scalar
+// reference (ascending p for the forward solve), so the backends agree to
+// FMA-contraction round-off; see linalg::ref::trsm_lower.
 template <class Panels, bool Transposed>
 void trsm_impl(par::ExecContext& ctx, const Matrix& l, Matrix& b) {
   PHMSE_CHECK(l.rows() == l.cols(), "trsm: L must be square");
@@ -78,19 +109,8 @@ void trsm_impl(par::ExecContext& ctx, const Matrix& l, Matrix& b) {
         // B[k0..k0+bs) -= L[k0..k0+bs, 0..k0) * B[0..k0).
         Panels::nn_acc(-1.0, ldata + k0 * m, m, bbase, ldb, bbase + k0 * ldb,
                        ldb, bs, k0, width);
-        for (Index i = k0; i < k0 + bs; ++i) {
-          double* bi = bbase + i * ldb;
-          const double* lrow = ldata + i * m;
-          for (Index p = k0; p < i; ++p) {
-            const double lip = lrow[p];
-            const double* bp = bbase + p * ldb;
-            for (Index q = 0; q < width; ++q) {
-              bi[q] = std::fma(-lip, bp[q], bi[q]);
-            }
-          }
-          const double inv = 1.0 / lrow[i];
-          for (Index q = 0; q < width; ++q) bi[q] *= inv;
-        }
+        Panels::trsm_diag(ldata + k0 * m + k0, m, bbase + k0 * ldb, ldb, bs,
+                          width);
       }
     } else {
       for (Index k0 = ((m - 1) / kTrsmBlock) * kTrsmBlock; k0 >= 0;
@@ -274,9 +294,13 @@ void gram_impl(par::ExecContext& ctx, const Matrix& w, Matrix& out) {
   ctx.parallel(perf::Category::kMatMat, n, cost, body);
 }
 
-// Factors the diagonal block [k, k+b) in place, using already-final columns
-// [0, k) of the panel rows.  Sequential.  Returns the failing pivot index
-// (a non-positive — or NaN — diagonal), or -1 on success.
+// Factors the diagonal block [k, k+b) in place; the trailing updates of
+// earlier panels have already folded columns [0, k) into it.  Sequential.
+// Returns the failing pivot index (a non-positive — or NaN — diagonal), or
+// -1 on success, with the columns before the pivot written.  Per element:
+// s = dot over ascending p in [k, j) (linalg::dot's chain from 0.0), then
+// d = a(j, j) - s with the !(d > 0) check and sqrt(d) on the diagonal, and
+// (a(i, j) - s) * (1 / d) below it.
 inline Index cholesky_factor_panel(Matrix& a, Index k, Index b) {
   for (Index j = k; j < k + b; ++j) {
     double d = a(j, j) - dot(a.row(j).data() + k, a.row(j).data() + k, j - k);
@@ -327,7 +351,7 @@ CholeskyResult cholesky_factor_impl(par::ExecContext& ctx, Matrix& a,
           st.bytes_stream = kBytesPerDouble * bd * static_cast<double>(k + b);
           return st;
         },
-        [&] { failed_pivot = cholesky_factor_panel(a, k, b); });
+        [&] { failed_pivot = Panels::chol_panel(a, k, b); });
     if (failed_pivot >= 0) return {failed_pivot};
 
     const Index rest = n - (k + b);

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "linalg/blas.hpp"
+#include "linalg/blocked/blocked_kernels.hpp"
 #include "linalg/detail/panel_algos.hpp"
 #include "support/check.hpp"
 #include "support/cpu.hpp"
@@ -622,28 +623,6 @@ void gemm_panel(Isa isa, bool trans, bool zero, double alpha, const double* a,
   }
 }
 
-// The detail/panel_algos.hpp Panels policy over the active microkernel set.
-struct SimdPanels {
-  static void nn_acc(double alpha, const double* a, Index lda,
-                     const double* b, Index ldb, double* c, Index ldc,
-                     Index mm, Index kk, Index nn) {
-    gemm_panel(active(), /*trans=*/false, /*zero=*/false, alpha, a, lda, b,
-               ldb, c, ldc, mm, kk, nn);
-  }
-  static void tn_acc(double alpha, const double* a, Index lda,
-                     const double* b, Index ldb, double* c, Index ldc,
-                     Index mm, Index kk, Index nn) {
-    gemm_panel(active(), /*trans=*/true, /*zero=*/false, alpha, a, lda, b,
-               ldb, c, ldc, mm, kk, nn);
-  }
-  static void tn_zero_acc(double alpha, const double* a, Index lda,
-                          const double* b, Index ldb, double* c, Index ldc,
-                          Index mm, Index kk, Index nn) {
-    gemm_panel(active(), /*trans=*/true, /*zero=*/true, alpha, a, lda, b,
-               ldb, c, ldc, mm, kk, nn);
-  }
-};
-
 // ---------------------------------------------------------------------------
 // Packed rank-k covariance downdate (AVX-512).
 //
@@ -791,8 +770,8 @@ void axpy_scalar_fma(double a, const double* x, double* y, Index n) {
 
 using AxpyFn = void (*)(double, const double*, double*, Index);
 
-AxpyFn resolve_axpy() {
-  switch (active()) {
+AxpyFn axpy_for(Isa isa) {
+  switch (isa) {
 #if PHMSE_SIMD_X86
     case Isa::kAvx512:
       return axpy_avx512;
@@ -809,8 +788,517 @@ AxpyFn resolve_axpy() {
 }
 
 AxpyFn axpy_fma() {
-  static const AxpyFn fn = resolve_axpy();
+  static const AxpyFn fn = axpy_for(active());
   return fn;
+}
+
+// ---------------------------------------------------------------------------
+// Register forms of the m-sized batch steps: G = H C (d-s), S = G H^T + R
+// (m-m), the Cholesky panel of S = L L^T (chol) and the diagonal blocks of
+// W = L^{-1} G (sys).  At the batch size m = 16 these steps are small —
+// a few nonzeros per row of H, an m x m S, m-row triangles — and their
+// scalar loops round-trip every partial result through memory.  The forms
+// below hold the partial results in vector registers across a whole chain
+// instead; each output element keeps the exact operation chain named in
+// simd_kernels.hpp, so they are bitwise the loops they replace.
+
+#if PHMSE_SIMD_X86
+
+// Lanes [0, cols) of an 8-lane mask, cols clamped to [0, 8].
+inline __mmask8 lane_mask(Index cols) {
+  if (cols >= 8) return 0xFF;
+  if (cols <= 0) return 0;
+  return static_cast<__mmask8>((1u << static_cast<unsigned>(cols)) - 1u);
+}
+
+// One row of G = H C: g[q] = fma(h_k, c(col_k, q), .) over the row's
+// nonzeros in stored order from +0.0.  32 columns (4 zmm) stay in
+// registers across the nonzeros and are stored once, then 8, then a masked
+// tail; a row without nonzeros stores +0.0.
+PHMSE_TGT_AVX512 void sparse_row_avx512(const Index* idx, const double* val,
+                                        Index nnz, const double* c,
+                                        Index ldc, double* g, Index n) {
+  Index q = 0;
+  for (; q + 32 <= n; q += 32) {
+    __m512d r0 = _mm512_setzero_pd();
+    __m512d r1 = r0, r2 = r0, r3 = r0;
+    for (Index k = 0; k < nnz; ++k) {
+      const double* const ck = c + idx[k] * ldc + q;
+      const __m512d hv = _mm512_set1_pd(val[k]);
+      r0 = _mm512_fmadd_pd(hv, _mm512_loadu_pd(ck), r0);
+      r1 = _mm512_fmadd_pd(hv, _mm512_loadu_pd(ck + 8), r1);
+      r2 = _mm512_fmadd_pd(hv, _mm512_loadu_pd(ck + 16), r2);
+      r3 = _mm512_fmadd_pd(hv, _mm512_loadu_pd(ck + 24), r3);
+    }
+    _mm512_storeu_pd(g + q, r0);
+    _mm512_storeu_pd(g + q + 8, r1);
+    _mm512_storeu_pd(g + q + 16, r2);
+    _mm512_storeu_pd(g + q + 24, r3);
+  }
+  for (; q < n; q += 8) {
+    const __mmask8 mk = lane_mask(n - q);
+    __m512d r0 = _mm512_setzero_pd();
+    for (Index k = 0; k < nnz; ++k) {
+      r0 = _mm512_fmadd_pd(_mm512_set1_pd(val[k]),
+                           _mm512_maskz_loadu_pd(mk, c + idx[k] * ldc + q),
+                           r0);
+    }
+    _mm512_mask_storeu_pd(g + q, mk, r0);
+  }
+}
+
+// sparse_row_avx512 on AVX2: 16 columns (4 ymm) in registers, then 4,
+// then scalar fma for the last columns.
+PHMSE_TGT_AVX2 void sparse_row_avx2(const Index* idx, const double* val,
+                                    Index nnz, const double* c, Index ldc,
+                                    double* g, Index n) {
+  Index q = 0;
+  for (; q + 16 <= n; q += 16) {
+    __m256d r0 = _mm256_setzero_pd();
+    __m256d r1 = r0, r2 = r0, r3 = r0;
+    for (Index k = 0; k < nnz; ++k) {
+      const double* const ck = c + idx[k] * ldc + q;
+      const __m256d hv = _mm256_set1_pd(val[k]);
+      r0 = _mm256_fmadd_pd(hv, _mm256_loadu_pd(ck), r0);
+      r1 = _mm256_fmadd_pd(hv, _mm256_loadu_pd(ck + 4), r1);
+      r2 = _mm256_fmadd_pd(hv, _mm256_loadu_pd(ck + 8), r2);
+      r3 = _mm256_fmadd_pd(hv, _mm256_loadu_pd(ck + 12), r3);
+    }
+    _mm256_storeu_pd(g + q, r0);
+    _mm256_storeu_pd(g + q + 4, r1);
+    _mm256_storeu_pd(g + q + 8, r2);
+    _mm256_storeu_pd(g + q + 12, r3);
+  }
+  for (; q + 4 <= n; q += 4) {
+    __m256d r0 = _mm256_setzero_pd();
+    for (Index k = 0; k < nnz; ++k) {
+      r0 = _mm256_fmadd_pd(_mm256_set1_pd(val[k]),
+                           _mm256_loadu_pd(c + idx[k] * ldc + q), r0);
+    }
+    _mm256_storeu_pd(g + q, r0);
+  }
+  for (; q < n; ++q) {
+    double acc = 0.0;
+    for (Index k = 0; k < nnz; ++k) {
+      acc = std::fma(val[k], c[idx[k] * ldc + q], acc);
+    }
+    g[q] = acc;
+  }
+}
+
+// acc + x * y as the portable scalar loops compute it (kFusedScalarChains).
+PHMSE_TGT_AVX512 inline __m512d dot_step_avx512(__m512d x, __m512d y,
+                                                __m512d acc) {
+  if constexpr (kFusedScalarChains) {
+    return _mm512_fmadd_pd(x, y, acc);
+  } else {
+    return _mm512_add_pd(acc, _mm512_mul_pd(x, y));
+  }
+}
+
+// Rows [begin, end) of S = G H^T + R.  Lanes run over 8 rows j of G and
+// gather G(j, col_k) at H row l's indices: s(j, l) accumulates h_k *
+// g(j, col_k) over the H row in stored order from +0.0 (dot_step_avx512),
+// is scattered into column l of S, and r_j is added to the diagonal last.
+PHMSE_TGT_AVX512 void innovation_rows_avx512(const Matrix& g, const Csr& h,
+                                             const Vector& r_diag, Matrix& s,
+                                             Index begin, Index end) {
+  const Index m = h.rows();
+  alignas(64) long long goff[8];
+  alignas(64) long long soff[8];
+  for (int lane = 0; lane < 8; ++lane) {
+    goff[lane] = static_cast<long long>(lane) * g.cols();
+    soff[lane] = static_cast<long long>(lane) * m;
+  }
+  const __m512i gv_off = _mm512_load_si512(goff);
+  const __m512i sv_off = _mm512_load_si512(soff);
+  for (Index j0 = begin; j0 < end; j0 += 8) {
+    const __mmask8 mk = lane_mask(end - j0);
+    const double* const g0 = g.data() + j0 * g.cols();
+    double* const s0 = s.data() + j0 * m;
+    for (Index l = 0; l < m; ++l) {
+      const auto idx = h.row_indices(l);
+      const auto val = h.row_values(l);
+      __m512d acc = _mm512_setzero_pd();
+      for (std::size_t k = 0; k < idx.size(); ++k) {
+        const __m512d gv = _mm512_mask_i64gather_pd(
+            _mm512_setzero_pd(), mk, gv_off, g0 + idx[k], 8);
+        acc = dot_step_avx512(_mm512_set1_pd(val[k]), gv, acc);
+      }
+      _mm512_mask_i64scatter_pd(s0 + l, mk, sv_off, acc, 8);
+    }
+  }
+  for (Index j = begin; j < end; ++j) {
+    s(j, j) += r_diag[static_cast<std::size_t>(j)];
+  }
+}
+
+// Largest diagonal block the register Cholesky panel takes: the block size
+// BatchUpdater factors S with.  The block's column-major copy,
+// kCholPanelMax^2 doubles (18 KB), lives on the stack.
+constexpr Index kCholPanelMax = 48;
+
+// detail::cholesky_factor_panel over a zero-filled column-major copy of
+// the block's lower triangle, so the rows below a pivot are contiguous:
+// column j is computed in the aligned 8-row groups from the pivot's down,
+// lane i accumulating a(i, p) * a(j, p) over ascending p from +0.0
+// (dot_step_avx512 — linalg::dot's chain), then a(i, j) - s and the
+// multiply by 1 / d.  The pivot's group holds the diagonal's own dot in
+// the pivot's lane; the lanes above it are kept zero.  Full aligned
+// stores let the next column's loads of the same groups forward from
+// them.  On a failed pivot the finished columns are written back first,
+// leaving A as the scalar panel leaves it.
+PHMSE_TGT_AVX512 Index chol_panel_avx512(Matrix& a, Index k, Index b) {
+  const Index lda = a.cols();
+  double* const base = a.data() + k * lda + k;
+  const Index ldt = (b + 7) / 8 * 8;
+  alignas(64) double t[kCholPanelMax * kCholPanelMax];
+  std::fill(t, t + ldt * b, 0.0);
+  for (Index i = 0; i < b; ++i) {
+    for (Index p = 0; p <= i; ++p) t[p * ldt + i] = base[i * lda + p];
+  }
+  auto write_back = [&](Index cols) {
+    for (Index i = 0; i < b; ++i) {
+      for (Index p = 0; p < std::min(i + 1, cols); ++p) {
+        base[i * lda + p] = t[p * ldt + i];
+      }
+    }
+  };
+  for (Index j = 0; j < b; ++j) {
+    double* const tj = t + j * ldt;
+    const Index g0 = j / 8 * 8;
+    __m512d inv = _mm512_setzero_pd();
+    for (Index i0 = g0; i0 < b; i0 += 8) {
+      __m512d acc = _mm512_setzero_pd();
+      for (Index p = 0; p < j; ++p) {
+        acc = dot_step_avx512(_mm512_load_pd(t + p * ldt + i0),
+                              _mm512_set1_pd(t[p * ldt + j]), acc);
+      }
+      __m512d v = _mm512_sub_pd(_mm512_load_pd(tj + i0), acc);
+      if (i0 == g0) {
+        const unsigned lane = static_cast<unsigned>(j - g0);
+        const auto pivot = static_cast<__mmask8>(1u << lane);
+        const auto below = static_cast<__mmask8>(0xFFu << lane);
+        const double d = _mm512_cvtsd_f64(_mm512_maskz_compress_pd(pivot, v));
+        if (!(d > 0.0)) {
+          write_back(j);
+          return k + j;
+        }
+        const double root = std::sqrt(d);
+        inv = _mm512_set1_pd(1.0 / root);
+        v = _mm512_maskz_mov_pd(
+            below, _mm512_mask_blend_pd(pivot, _mm512_mul_pd(v, inv),
+                                        _mm512_set1_pd(root)));
+      } else {
+        v = _mm512_mul_pd(v, inv);
+      }
+      _mm512_store_pd(tj + i0, v);
+    }
+  }
+  write_back(b);
+  return -1;
+}
+
+// Rows of the register forward substitution: 16 rows of an 8-column strip
+// of B stay in 16 zmm through a whole diagonal block.
+constexpr Index kTrsmRegRows = 16;
+
+// B <- L^{-1} B for the h <= H rows of one 8-column strip (lanes mk),
+// right-looking in registers.  coef is H x H: coef[i * H + p] = -L(i, p)
+// below the diagonal, 1 / L(i, i) on it, zero past row h.  Row i receives
+// fma(-L(i, p), B(p, q), .) for ascending p and then the multiply by
+// 1 / L(i, i): forward_substitute_block's chain.  Rows past h load row
+// h - 1 (any finite values do: they never reach a real row) and store
+// nothing, so the block is straight-line code.  Not inlined, so the
+// coefficients are broadcast from coef at each fma instead of hoisted out
+// of the strip loop as H^2/2 spilled vectors.
+template <int H>
+__attribute__((noinline)) PHMSE_TGT_AVX512 void trsm_strip_avx512(
+    const double* coef, Index h, double* b, Index ldb, __mmask8 mk) {
+  __m512d r[H];
+#pragma GCC unroll 16
+  for (int i = 0; i < H; ++i) {
+    r[i] = _mm512_maskz_loadu_pd(mk, b + std::min<Index>(i, h - 1) * ldb);
+  }
+#pragma GCC unroll 16
+  for (int p = 0; p < H; ++p) {
+    r[p] = _mm512_mul_pd(r[p], _mm512_set1_pd(coef[p * H + p]));
+#pragma GCC unroll 16
+    for (int i = 1; i < H; ++i) {
+      if (i > p) {
+        r[i] = _mm512_fmadd_pd(_mm512_set1_pd(coef[i * H + p]), r[p], r[i]);
+      }
+    }
+  }
+#pragma GCC unroll 16
+  for (int i = 0; i < H; ++i) {
+    _mm512_mask_storeu_pd(b + i * ldb, i < h ? mk : __mmask8{0}, r[i]);
+  }
+}
+
+template <int H>
+PHMSE_TGT_AVX512 void trsm_block_avx512(const double* l, Index ldl,
+                                        double* b, Index ldb, Index h,
+                                        Index width) {
+  alignas(64) double coef[H * H] = {};
+  for (Index i = 0; i < h; ++i) {
+    for (Index p = 0; p < i; ++p) coef[i * H + p] = -l[i * ldl + p];
+    coef[i * H + i] = 1.0 / l[i * ldl + i];
+  }
+  for (Index q = 0; q < width; q += 8) {
+    trsm_strip_avx512<H>(coef, h, b + q, ldb, lane_mask(width - q));
+  }
+}
+
+// Panels::trsm_diag on AVX-512: the block in register sub-blocks of up to
+// kTrsmRegRows rows, each first receiving the rows above it through the
+// nn panel (the same fma chain).
+PHMSE_TGT_AVX512 void trsm_diag_avx512(const double* l, Index ldl, double* b,
+                                       Index ldb, Index bs, Index width) {
+  for (Index s0 = 0; s0 < bs; s0 += kTrsmRegRows) {
+    const Index h = std::min(kTrsmRegRows, bs - s0);
+    double* const bs0 = b + s0 * ldb;
+    if (s0 > 0) {
+      gemm_panel(Isa::kAvx512, /*trans=*/false, /*zero=*/false, -1.0,
+                 l + s0 * ldl, ldl, b, ldb, bs0, ldb, h, s0, width);
+    }
+    const double* const ls0 = l + s0 * ldl + s0;
+    if (h <= 8) {
+      trsm_block_avx512<8>(ls0, ldl, bs0, ldb, h, width);
+    } else {
+      trsm_block_avx512<16>(ls0, ldl, bs0, ldb, h, width);
+    }
+  }
+}
+
+// trsm_strip_avx512 on AVX2: h <= H rows of a 4-column strip in ymm, rows
+// past h loading row h - 1 and storing nothing.
+template <int H>
+__attribute__((noinline)) PHMSE_TGT_AVX2 void trsm_strip_avx2(
+    const double* coef, Index h, double* b, Index ldb) {
+  __m256d r[H];
+#pragma GCC unroll 16
+  for (int i = 0; i < H; ++i) {
+    r[i] = _mm256_loadu_pd(b + std::min<Index>(i, h - 1) * ldb);
+  }
+#pragma GCC unroll 16
+  for (int p = 0; p < H; ++p) {
+    r[p] = _mm256_mul_pd(r[p], _mm256_set1_pd(coef[p * H + p]));
+#pragma GCC unroll 16
+    for (int i = 1; i < H; ++i) {
+      if (i > p) {
+        r[i] = _mm256_fmadd_pd(_mm256_set1_pd(coef[i * H + p]), r[p], r[i]);
+      }
+    }
+  }
+#pragma GCC unroll 16
+  for (int i = 0; i < H; ++i) {
+    if (i < h) _mm256_storeu_pd(b + i * ldb, r[i]);
+  }
+}
+
+// trsm_diag_avx512 on AVX2: register sub-blocks of 8 rows and 4-column
+// strips; the last width % 4 columns run forward_substitute_block.
+PHMSE_TGT_AVX2 void trsm_diag_avx2(const double* l, Index ldl, double* b,
+                                   Index ldb, Index bs, Index width) {
+  constexpr int kRows = 8;
+  const Index vec_width = width / 4 * 4;
+  for (Index s0 = 0; s0 < bs; s0 += kRows) {
+    const Index h = std::min<Index>(kRows, bs - s0);
+    double* const bs0 = b + s0 * ldb;
+    if (s0 > 0) {
+      gemm_panel(Isa::kAvx2, /*trans=*/false, /*zero=*/false, -1.0,
+                 l + s0 * ldl, ldl, b, ldb, bs0, ldb, h, s0, vec_width);
+    }
+    const double* const ls0 = l + s0 * ldl + s0;
+    alignas(32) double coef[kRows * kRows] = {};
+    for (Index i = 0; i < h; ++i) {
+      for (Index p = 0; p < i; ++p) coef[i * kRows + p] = -ls0[i * ldl + p];
+      coef[i * kRows + i] = 1.0 / ls0[i * ldl + i];
+    }
+    for (Index q = 0; q < vec_width; q += 4) {
+      trsm_strip_avx2<kRows>(coef, h, bs0 + q, ldb);
+    }
+  }
+  if (vec_width < width) {
+    detail::forward_substitute_block(l, ldl, b + vec_width, ldb, bs,
+                                     width - vec_width);
+  }
+}
+
+#endif  // PHMSE_SIMD_X86
+
+// The detail/panel_algos.hpp Panels policy over one microkernel set.
+template <Isa kIsa>
+struct IsaPanels {
+  static void nn_acc(double alpha, const double* a, Index lda,
+                     const double* b, Index ldb, double* c, Index ldc,
+                     Index mm, Index kk, Index nn) {
+    gemm_panel(kIsa, /*trans=*/false, /*zero=*/false, alpha, a, lda, b, ldb,
+               c, ldc, mm, kk, nn);
+  }
+  static void tn_acc(double alpha, const double* a, Index lda,
+                     const double* b, Index ldb, double* c, Index ldc,
+                     Index mm, Index kk, Index nn) {
+    gemm_panel(kIsa, /*trans=*/true, /*zero=*/false, alpha, a, lda, b, ldb,
+               c, ldc, mm, kk, nn);
+  }
+  static void tn_zero_acc(double alpha, const double* a, Index lda,
+                          const double* b, Index ldb, double* c, Index ldc,
+                          Index mm, Index kk, Index nn) {
+    gemm_panel(kIsa, /*trans=*/true, /*zero=*/true, alpha, a, lda, b, ldb, c,
+               ldc, mm, kk, nn);
+  }
+  static void trsm_diag(const double* l, Index ldl, double* b, Index ldb,
+                        Index bs, Index width) {
+#if PHMSE_SIMD_X86
+    if constexpr (kIsa == Isa::kAvx512) {
+      trsm_diag_avx512(l, ldl, b, ldb, bs, width);
+      return;
+    } else if constexpr (kIsa == Isa::kAvx2) {
+      trsm_diag_avx2(l, ldl, b, ldb, bs, width);
+      return;
+    }
+#endif
+    detail::forward_substitute_block(l, ldl, b, ldb, bs, width);
+  }
+  static Index chol_panel(Matrix& a, Index k, Index b) {
+#if PHMSE_SIMD_X86
+    if constexpr (kIsa == Isa::kAvx512) {
+      if (b <= kCholPanelMax) return chol_panel_avx512(a, k, b);
+    }
+#endif
+    return detail::cholesky_factor_panel(a, k, b);
+  }
+};
+
+// Calls f(IsaPanels<isa>{}), instantiating the panel drivers once per set.
+template <class F>
+decltype(auto) with_panels(Isa isa, F&& f) {
+  switch (isa) {
+#if PHMSE_SIMD_X86
+    case Isa::kAvx512:
+      return f(IsaPanels<Isa::kAvx512>{});
+    case Isa::kAvx2:
+      return f(IsaPanels<Isa::kAvx2>{});
+#endif
+#if PHMSE_SIMD_NEON
+    case Isa::kNeon:
+      return f(IsaPanels<Isa::kNeon>{});
+#endif
+    default:
+      return f(IsaPanels<Isa::kScalar>{});
+  }
+}
+
+using SparseRowFn = void (*)(const Index*, const double*, Index,
+                             const double*, Index, double*, Index);
+
+// The register form of one G row for `isa`; null where the set keeps the
+// per-nonzero axpy.
+SparseRowFn sparse_row_for(Isa isa) {
+  switch (isa) {
+#if PHMSE_SIMD_X86
+    case Isa::kAvx512:
+      return sparse_row_avx512;
+    case Isa::kAvx2:
+      return sparse_row_avx2;
+#endif
+    default:
+      return nullptr;
+  }
+}
+
+void sparse_dense_isa(Isa isa, par::ExecContext& ctx, const Csr& h,
+                      const Matrix& c, Matrix& g) {
+  PHMSE_CHECK(h.cols() == c.rows(), "sparse_dense: dimension mismatch");
+  const Index m = h.rows();
+  const Index n = c.cols();
+
+  auto cost = [&](Index begin, Index end) {
+    KernelStats st;
+    double nnz = 0.0;
+    for (Index j = begin; j < end; ++j) nnz += static_cast<double>(h.row_nnz(j));
+    st.flops = 2.0 * nnz * static_cast<double>(n);
+    st.bytes_stream = kBytes * static_cast<double>((end - begin) * n);
+    st.bytes_irregular = kBytes * nnz * static_cast<double>(n);
+    return st;
+  };
+  if (const SparseRowFn row = sparse_row_for(isa)) {
+    g.resize(m, n);  // every entry is stored below
+    ctx.parallel(Category::kDenseSparse, m, cost,
+                 [&](Index begin, Index end, int /*lane*/) {
+                   for (Index j = begin; j < end; ++j) {
+                     const auto idx = h.row_indices(j);
+                     row(idx.data(), h.row_values(j).data(),
+                         static_cast<Index>(idx.size()), c.data(), c.cols(),
+                         g.row(j).data(), n);
+                   }
+                 });
+    return;
+  }
+  g.resize_zero(m, n);
+  const AxpyFn axpy = axpy_for(isa);
+  auto body = [&](Index begin, Index end, int /*lane*/) {
+    for (Index j = begin; j < end; ++j) {
+      double* grow = g.row(j).data();
+      const auto idx = h.row_indices(j);
+      const auto val = h.row_values(j);
+      for (std::size_t k = 0; k < idx.size(); ++k) {
+        axpy(val[k], c.row(idx[k]).data(), grow, n);
+      }
+    }
+  };
+  ctx.parallel(Category::kDenseSparse, m, cost, body);
+}
+
+void innovation_covariance_isa(Isa isa, par::ExecContext& ctx,
+                               const Matrix& g, const Csr& h,
+                               const Vector& r_diag, Matrix& s) {
+#if PHMSE_SIMD_X86
+  if (isa == Isa::kAvx512) {
+    PHMSE_CHECK(g.rows() == h.rows() && g.cols() == h.cols(),
+                "innovation_covariance: G/H shape mismatch");
+    PHMSE_CHECK(static_cast<Index>(r_diag.size()) == h.rows(),
+                "innovation_covariance: noise diagonal size mismatch");
+    const Index m = h.rows();
+    s.resize(m, m);  // every entry is stored below
+
+    // blocked::innovation_covariance's accounting.
+    auto cost = [&](Index begin, Index end) {
+      KernelStats st;
+      st.flops = 2.0 * static_cast<double>(end - begin) *
+                 static_cast<double>(h.nnz());
+      st.bytes_stream = kBytes * static_cast<double>((end - begin) * g.cols());
+      st.bytes_irregular =
+          kBytes * static_cast<double>((end - begin) * h.nnz());
+      return st;
+    };
+    ctx.parallel(Category::kMatMat, m, cost,
+                 [&](Index begin, Index end, int /*lane*/) {
+                   innovation_rows_avx512(g, h, r_diag, s, begin, end);
+                 });
+    return;
+  }
+#endif
+  (void)isa;
+  blocked::innovation_covariance(ctx, g, h, r_diag, s);
+}
+
+Isa isa_by_name(std::string_view isa, const char* who) {
+  Isa resolved = Isa::kScalar;
+  if (isa == "avx512") {
+    resolved = Isa::kAvx512;
+  } else if (isa == "avx2") {
+    resolved = Isa::kAvx2;
+  } else if (isa == "neon") {
+    resolved = Isa::kNeon;
+  } else {
+    PHMSE_CHECK(isa == "scalar", std::string(who) + ": unknown ISA name");
+  }
+  PHMSE_CHECK(isa_usable(resolved),
+              std::string(who) + ": ISA not usable on this build/CPU");
+  return resolved;
 }
 
 #if PHMSE_SIMD_X86
@@ -908,41 +1396,25 @@ Index delay_min_dim() { return active() == Isa::kAvx512 ? kDelayMinDim : 0; }
 
 void sparse_dense(par::ExecContext& ctx, const Csr& h, const Matrix& c,
                   Matrix& g) {
-  PHMSE_CHECK(h.cols() == c.rows(), "sparse_dense: dimension mismatch");
-  const Index m = h.rows();
-  const Index n = c.cols();
-  g.resize_zero(m, n);
-  const AxpyFn axpy = axpy_fma();
+  sparse_dense_isa(active(), ctx, h, c, g);
+}
 
-  auto cost = [&](Index begin, Index end) {
-    KernelStats st;
-    double nnz = 0.0;
-    for (Index j = begin; j < end; ++j) nnz += static_cast<double>(h.row_nnz(j));
-    st.flops = 2.0 * nnz * static_cast<double>(n);
-    st.bytes_stream = kBytes * static_cast<double>((end - begin) * n);
-    st.bytes_irregular = kBytes * nnz * static_cast<double>(n);
-    return st;
-  };
-  auto body = [&](Index begin, Index end, int /*lane*/) {
-    for (Index j = begin; j < end; ++j) {
-      double* grow = g.row(j).data();
-      const auto idx = h.row_indices(j);
-      const auto val = h.row_values(j);
-      for (std::size_t k = 0; k < idx.size(); ++k) {
-        axpy(val[k], c.row(idx[k]).data(), grow, n);
-      }
-    }
-  };
-  ctx.parallel(Category::kDenseSparse, m, cost, body);
+void innovation_covariance(par::ExecContext& ctx, const Matrix& g,
+                           const Csr& h, const Vector& r_diag, Matrix& s) {
+  innovation_covariance_isa(active(), ctx, g, h, r_diag, s);
 }
 
 void trsm_lower(par::ExecContext& ctx, const Matrix& l, Matrix& b) {
-  detail::trsm_impl<SimdPanels, false>(ctx, l, b);
+  with_panels(active(), [&](auto panels) {
+    detail::trsm_impl<decltype(panels), false>(ctx, l, b);
+  });
 }
 
 void trsm_lower_transposed(par::ExecContext& ctx, const Matrix& l,
                            Matrix& b) {
-  detail::trsm_impl<SimdPanels, true>(ctx, l, b);
+  with_panels(active(), [&](auto panels) {
+    detail::trsm_impl<decltype(panels), true>(ctx, l, b);
+  });
 }
 
 void gain_times_residual(par::ExecContext& ctx, const Matrix& v,
@@ -980,21 +1452,30 @@ void covariance_downdate(par::ExecContext& ctx, const Matrix& w, Matrix& c) {
     return;
   }
 #endif
-  detail::covariance_downdate_impl<SimdPanels>(ctx, w, c);
+  with_panels(active(), [&](auto panels) {
+    detail::covariance_downdate_impl<decltype(panels)>(ctx, w, c);
+  });
 }
 
 void downdate_rows(par::ExecContext& ctx, const Matrix& a, const Matrix& w,
                    Matrix& t) {
-  detail::downdate_rows_impl<SimdPanels>(ctx, a, w, t);
+  with_panels(active(), [&](auto panels) {
+    detail::downdate_rows_impl<decltype(panels)>(ctx, a, w, t);
+  });
 }
 
 void gram(par::ExecContext& ctx, const Matrix& w, Matrix& out) {
-  detail::gram_impl<SimdPanels>(ctx, w, out);
+  with_panels(active(), [&](auto panels) {
+    detail::gram_impl<decltype(panels)>(ctx, w, out);
+  });
 }
 
 CholeskyResult cholesky_factor(par::ExecContext& ctx, Matrix& a,
                                Index block_size) {
-  return detail::cholesky_factor_impl<SimdPanels>(ctx, a, block_size);
+  return with_panels(active(), [&](auto panels) {
+    return detail::cholesky_factor_impl<decltype(panels)>(ctx, a,
+                                                          block_size);
+  });
 }
 
 std::vector<std::string> testable_isas() {
@@ -1009,20 +1490,38 @@ void gemm_panel_for_isa(std::string_view isa, bool trans, bool zero,
                         double alpha, const double* a, Index lda,
                         const double* b, Index ldb, double* c, Index ldc,
                         Index mm, Index kk, Index nn) {
-  Isa resolved = Isa::kScalar;
-  if (isa == "avx512") {
-    resolved = Isa::kAvx512;
-  } else if (isa == "avx2") {
-    resolved = Isa::kAvx2;
-  } else if (isa == "neon") {
-    resolved = Isa::kNeon;
-  } else {
-    PHMSE_CHECK(isa == "scalar", "gemm_panel_for_isa: unknown ISA name");
-  }
-  PHMSE_CHECK(isa_usable(resolved),
-              "gemm_panel_for_isa: ISA not usable on this build/CPU");
-  gemm_panel(resolved, trans, zero, alpha, a, lda, b, ldb, c, ldc, mm, kk,
-             nn);
+  gemm_panel(isa_by_name(isa, "gemm_panel_for_isa"), trans, zero, alpha, a,
+             lda, b, ldb, c, ldc, mm, kk, nn);
+}
+
+void sparse_dense_for_isa(std::string_view isa, par::ExecContext& ctx,
+                          const Csr& h, const Matrix& c, Matrix& g) {
+  sparse_dense_isa(isa_by_name(isa, "sparse_dense_for_isa"), ctx, h, c, g);
+}
+
+void innovation_covariance_for_isa(std::string_view isa,
+                                   par::ExecContext& ctx, const Matrix& g,
+                                   const Csr& h, const Vector& r_diag,
+                                   Matrix& s) {
+  innovation_covariance_isa(isa_by_name(isa, "innovation_covariance_for_isa"),
+                            ctx, g, h, r_diag, s);
+}
+
+void trsm_lower_for_isa(std::string_view isa, par::ExecContext& ctx,
+                        const Matrix& l, Matrix& b) {
+  with_panels(isa_by_name(isa, "trsm_lower_for_isa"), [&](auto panels) {
+    detail::trsm_impl<decltype(panels), false>(ctx, l, b);
+  });
+}
+
+CholeskyResult cholesky_factor_for_isa(std::string_view isa,
+                                       par::ExecContext& ctx, Matrix& a,
+                                       Index block_size) {
+  return with_panels(
+      isa_by_name(isa, "cholesky_factor_for_isa"), [&](auto panels) {
+        return detail::cholesky_factor_impl<decltype(panels)>(ctx, a,
+                                                              block_size);
+      });
 }
 
 }  // namespace phmse::linalg::simd
