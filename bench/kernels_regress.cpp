@@ -11,7 +11,8 @@
 //
 // The m = 16 rows of sparse_dense, innovation_covariance, trsm_lower
 // (L 16 x 16) and cholesky (n = 16) time the m-sized steps of one batch
-// at the node sizes a hierarchical solve visits.
+// at the node sizes a hierarchical solve visits, and covariance_downdate
+// at ranks 16 and 9 times its eager downdate there.
 //
 // Two row sets justify the delayed sweep of estimation/update.hpp:
 // covariance_downdate at rank 64 (one flush of four rank-16 batches) beside
@@ -214,23 +215,19 @@ int run_all(const std::string& out_path) {
     }
   }
 
-  // Rank-64 flushes (four rank-16 batches stacked) and the rank-16 batch
-  // at the ribo30S root's n, the shapes of the delayed sweep.
-  const std::vector<std::pair<Index, Index>> wide =
-      smoke ? std::vector<std::pair<Index, Index>>{{64, 64}, {16, 96}}
-            : std::vector<std::pair<Index, Index>>{
-                  {64, 1024}, {64, 2697}, {16, 2697}};
-  for (const auto& [wm, n] : wide) {
-    const Matrix v = random_matrix(wm, n, rng);
-    const Matrix c0 = random_spd(n, rng);
-    const double dm = static_cast<double>(wm);
+  // One covariance_downdate row per backend and thread count for a
+  // rank x n shape drawn from `gen`, accounted as in the loop above.
+  const auto time_downdate = [&](Index rank, Index n, Rng& gen) {
+    const Matrix v = random_matrix(rank, n, gen);
+    const Matrix c0 = random_spd(n, gen);
+    const double dm = static_cast<double>(rank);
     const double dn = static_cast<double>(n);
     Matrix c = c0;
     for (const int t : thread_counts) {
       for (const Backend* b : impls) {
         const bool full = std::string(b->name) == "ref";
         c = c0;
-        h.run("covariance_downdate", b->name, wm, n, t,
+        h.run("covariance_downdate", b->name, rank, n, t,
               full ? 2.0 * dm * dn * dn : dm * dn * (dn + 1.0),
               full ? 8.0 * (2.0 * dn * dn + dm * dn)
                    : 8.0 * (dn * (dn + 1.0) + dm * dn),
@@ -239,7 +236,15 @@ int run_all(const std::string& out_path) {
               });
       }
     }
-  }
+  };
+
+  // Rank-64 flushes (four rank-16 batches stacked) and the rank-16 batch
+  // at the ribo30S root's n, the shapes of the delayed sweep.
+  const std::vector<std::pair<Index, Index>> wide =
+      smoke ? std::vector<std::pair<Index, Index>>{{64, 64}, {16, 96}}
+            : std::vector<std::pair<Index, Index>>{
+                  {64, 1024}, {64, 2697}, {16, 2697}};
+  for (const auto& [wm, n] : wide) time_downdate(wm, n, rng);
 
   // The streaming kernels: G = H C (d-s) and dx += V^T r (m-v).
   const std::vector<Index> sparse_dims =
@@ -415,6 +420,20 @@ int run_all(const std::string& out_path) {
               PHMSE_CHECK(r.ok(), "bench cholesky: not positive definite");
             });
     }
+  }
+
+  // The eager downdate at helix node sizes (helix-2/3/4 nodes span
+  // 24-510 coordinates): a full rank-16 batch at n = 36, 258 and 510 and a
+  // short rank-9 last batch at 258.  Their own generator keeps the rows
+  // above on their committed inputs.
+  Rng node_rng(
+      static_cast<std::uint64_t>(env_long("PHMSE_BENCH_SEED", 1234)) + 2);
+  const std::vector<std::pair<Index, Index>> node_downdates =
+      smoke ? std::vector<std::pair<Index, Index>>{{m, 36}}
+            : std::vector<std::pair<Index, Index>>{
+                  {m, 36}, {m, 258}, {m, 510}, {9, 258}};
+  for (const auto& [rank, n] : node_downdates) {
+    time_downdate(rank, n, node_rng);
   }
 
   write_kernel_bench_json(out_path, h.records);

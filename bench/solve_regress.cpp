@@ -3,7 +3,10 @@
 // Times the two halves of the plan/execute split on the paper's 8-bp helix
 // workload: Engine::compile (decompose + assign + schedule + workspace
 // sizing) and the steady-state plan.solve() (all buffers warm; the serial
-// path allocates nothing).  The rows land in the same
+// path allocates nothing).  Beside the compile row sit the two steps a
+// service request pays on a cached plan before its solve: the plan-cache
+// fingerprint (plan_fingerprint) and a rebind that changes every
+// observation slot (plan_rebind).  The rows land in the same
 // phmse-kernel-bench-v1 JSON schema as the dense-kernel harness so
 // scripts/bench_check.py can track both against the committed
 // BENCH_kernels.json baseline, and check the robustness, refine and
@@ -21,67 +24,11 @@
 
 #include "bench_util.hpp"
 #include "refine/refiner.hpp"
+#include "service/fingerprint.hpp"
 #include "support/stopwatch.hpp"
 
 namespace phmse::bench {
 namespace {
-
-// An interleaved estimate of how much slower `variant` runs than `steady`.
-// Each round runs both orders (steady-variant-variant-steady) so slot
-// effects — clock ramps, cache state left by the previous call — cancel
-// inside the round, keeping the per-round ratio unimodal, and a co-tenant
-// stealing the machine perturbs both the same way.  Two estimators of the
-// true variant/steady ratio:
-//  - blocked median: split the run into four time blocks, take each
-//    block's median ratio, keep the smallest.  A co-tenant burst skews the
-//    blocks it overlaps; any quiet window in the run leaves one block's
-//    median clean;
-//  - ratio of per-side minima: each minimum approximates that side's
-//    unloaded speed (same convention as time_best).
-// Both converge to the same value on a quiet machine; under load either
-// can be pushed high by noise, so the smaller of the two is the better
-// estimate of the unloaded ratio — the quantity the robustness and refine
-// gates are about.
-struct Interleaved {
-  double best_steady = 1e300;  // fastest steady call of any round
-  double ratio = 1.0;          // min(block-median, min-ratio)
-};
-
-template <class Steady, class Variant>
-Interleaved time_interleaved(int rounds, const Steady& steady,
-                             const Variant& variant) {
-  const auto timed = [](const auto& fn) {
-    Stopwatch s;
-    fn();
-    return s.seconds();
-  };
-  Interleaved out;
-  double best_variant = 1e300;
-  std::vector<double> ratios;
-  ratios.reserve(static_cast<std::size_t>(rounds));
-  for (int r = 0; r < rounds; ++r) {
-    const double s1 = timed(steady);
-    const double v1 = timed(variant);
-    const double v2 = timed(variant);
-    const double s2 = timed(steady);
-    out.best_steady = std::min({out.best_steady, s1, s2});
-    best_variant = std::min({best_variant, v1, v2});
-    ratios.push_back((v1 + v2) / (s1 + s2));
-  }
-  const int blocks = 4;
-  const int block_len = rounds / blocks;
-  double median_ratio = 1e300;
-  for (int b = 0; b < blocks; ++b) {
-    const auto begin = ratios.begin() + b * block_len;
-    std::nth_element(begin, begin + block_len / 2, begin + block_len);
-    median_ratio = std::min(median_ratio, begin[block_len / 2]);
-  }
-  const double min_ratio = best_variant / out.best_steady;
-  std::printf("  [estimators] block-median %+5.2f%%  min-ratio %+5.2f%%\n",
-              100.0 * (median_ratio - 1.0), 100.0 * (min_ratio - 1.0));
-  out.ratio = std::min(median_ratio, min_ratio);
-  return out;
-}
 
 int run_all(const std::string& out_path) {
   print_header("solve_regress",
@@ -109,6 +56,58 @@ int run_all(const std::string& out_path) {
         time_best([&] { engine::Plan plan = make_helix_plan(p, 1); }, 3,
                   &rec.reps);
     std::printf("  %-18s %9.3f ms\n", "plan_compile", rec.seconds * 1e3);
+    records.push_back(rec);
+  }
+
+  {
+    // The plan cache's structural fingerprint of the same problem, as the
+    // service computes it on every request (a recipe makes it cacheable).
+    const engine::Problem problem = engine::Problem::custom(
+        p.model.topology.size(), p.constraints,
+        [model = p.model] { return core::build_helix_hierarchy(model); },
+        "helix/" + std::to_string(length));
+    const engine::CompileOptions options;
+    KernelBenchRecord rec;
+    rec.kernel = "plan_fingerprint";
+    rec.impl = "engine";
+    rec.m = m;
+    rec.n = n;
+    rec.threads = 1;
+    rec.seconds = time_best(
+        [&] { PHMSE_CHECK(service::fingerprint(problem, options).cacheable(),
+                          "plan_fingerprint: uncacheable problem"); },
+        3, &rec.reps);
+    std::printf("  %-18s %9.3f us\n", "plan_fingerprint", rec.seconds * 1e6);
+    records.push_back(rec);
+  }
+
+  {
+    // A rebind that changes every slot, right after a completed solve (as
+    // on a served request): each changed slot is written, enters the
+    // retraction ledger until it overflows, and marks its node dirty.
+    engine::Plan plan = make_helix_plan(p, 1);
+    std::vector<double> values[2];
+    for (const cons::Constraint& c : p.constraints.all()) {
+      values[0].push_back(c.observed);
+      values[1].push_back(c.observed + 1e-3);
+    }
+    const int rounds = smoke ? 8 : 16;
+    double best = 1e300;
+    for (int r = 0; r < rounds; ++r) {
+      plan.solve(p.initial);  // untimed: drains the ledger and dirty marks
+      Stopwatch sw;
+      plan.set_observations(values[(r + 1) % 2]);
+      best = std::min(best, sw.seconds());
+    }
+    KernelBenchRecord rec;
+    rec.kernel = "plan_rebind";
+    rec.impl = "engine";
+    rec.m = m;
+    rec.n = n;
+    rec.threads = 1;
+    rec.reps = rounds;
+    rec.seconds = best;
+    std::printf("  %-18s %9.3f us\n", "plan_rebind", rec.seconds * 1e6);
     records.push_back(rec);
   }
 

@@ -63,10 +63,14 @@ KNOWN_KERNELS = {
     "apply_all_root4_eager",
     # Solver-level rows from bench/solve_regress: the two halves of the
     # plan/execute split (Engine::compile vs steady-state plan.solve()),
-    # then the steady solve under the heaviest degradation policy, through
-    # a single_pass refine::Refiner, and as a single-constraint rebind
-    # (the robustness, refine and incremental GATES below).
+    # the plan-cache fingerprint and an every-slot rebind a served request
+    # pays on a cached plan, then the steady solve under the heaviest
+    # degradation policy, through a single_pass refine::Refiner, and as a
+    # single-constraint rebind (the robustness, refine and incremental
+    # GATES below).
     "plan_compile",
+    "plan_fingerprint",
+    "plan_rebind",
     "plan_solve_steady",
     "plan_solve_policy",
     "plan_solve_refine",

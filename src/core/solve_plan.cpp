@@ -91,11 +91,17 @@ SolvePlan::SolvePlan(Hierarchy& hierarchy, const HierSolveOptions& options)
   refresh_schedule();
 }
 
-void SolvePlan::mark_constraint_dirty(const HierNode* node) {
+std::size_t SolvePlan::node_index(const HierNode* node) const {
   const auto it = node_index_.find(node);
   PHMSE_CHECK(it != node_index_.end(),
-              "mark_constraint_dirty: node is not part of this plan");
-  dirty_[it->second] = 1;
+              "node_index: node is not part of this plan");
+  return it->second;
+}
+
+void SolvePlan::mark_constraint_dirty(std::size_t index) {
+  PHMSE_CHECK(index < dirty_.size(),
+              "mark_constraint_dirty: node index out of range");
+  dirty_[index] = 1;
 }
 
 void SolvePlan::set_variance_scale(double scale) {

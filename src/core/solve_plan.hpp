@@ -188,10 +188,14 @@ class SolvePlan {
   PlanRunStats run(Executor exec, const linalg::Vector& initial_x,
                    bool incremental = false);
 
-  /// Marks `node`'s compiled workspace observation-dirty: the next
-  /// incremental run re-executes it and its ancestor path.  `node` must
-  /// belong to the hierarchy this plan was compiled from.
-  void mark_constraint_dirty(const HierNode* node);
+  /// Post-order index of `node` in this plan, the handle
+  /// mark_constraint_dirty takes.  `node` must belong to the hierarchy
+  /// this plan was compiled from.
+  std::size_t node_index(const HierNode* node) const;
+
+  /// Marks node `index` (node_index) observation-dirty: the next
+  /// incremental run re-executes it and its ancestor path.
+  void mark_constraint_dirty(std::size_t index);
 
   /// Scales every constraint's noise variance for subsequent runs — the
   /// annealing seam (DESIGN.md §14): refine::Refiner sets T^2 here to
@@ -344,7 +348,7 @@ class SolvePlan {
   /// message), or empty when they do; a thread-pool run refuses to start
   /// on a non-nesting schedule.  Derived by refresh_schedule.
   std::string schedule_error_;
-  /// Post-order index of each hierarchy node, for mark_constraint_dirty.
+  /// Post-order index of each hierarchy node (node_index).
   std::unordered_map<const HierNode*, std::size_t> node_index_;
   /// Observation-dirty flags fed by mark_constraint_dirty; drained when a
   /// run completes.  Preallocated — marking and clearing never allocate.

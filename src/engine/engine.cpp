@@ -191,6 +191,10 @@ Plan Engine::compile(const Problem& problem, const CompileOptions& options) {
   phase.reset();
   plan.plan_ =
       std::make_unique<core::SolvePlan>(*plan.hierarchy_, options.solve);
+  plan.slot_nodes_.reserve(plan.slots_.size());
+  for (const core::AssignedSlot& slot : plan.slots_) {
+    plan.slot_nodes_.push_back(plan.plan_->node_index(slot.node));
+  }
   plan.timings_.workspace_seconds = phase.seconds();
   plan.timings_.total_seconds = total.seconds();
   return plan;
@@ -406,23 +410,26 @@ void Plan::set_observations(std::span<const double> values) {
     // Record the outgoing value for solve_lowrank's retraction.  First
     // change per slot wins: across chained rebinds the retraction must
     // remove the value the last completed solve actually applied, not an
-    // intermediate one that never reached the posterior.
-    bool tracked = false;
-    for (const PendingChange& p : pending_) {
-      if (p.slot == i) {
-        tracked = true;
-        break;
+    // intermediate one that never reached the posterior.  Once the ledger
+    // has overflowed nothing more can be tracked, so the scan stops.
+    if (!pending_overflow_) {
+      bool tracked = false;
+      for (const PendingChange& p : pending_) {
+        if (p.slot == i) {
+          tracked = true;
+          break;
+        }
       }
-    }
-    if (!tracked) {
-      if (pending_.size() < kMaxPendingChanges) {
-        pending_.push_back({i, current});
-      } else {
-        pending_overflow_ = true;  // too many for rank-k; exact path only
+      if (!tracked) {
+        if (pending_.size() < kMaxPendingChanges) {
+          pending_.push_back({i, current});
+        } else {
+          pending_overflow_ = true;  // too many for rank-k; exact path only
+        }
       }
     }
     slot.node->constraints.set_observed(slot.index, values[i]);
-    plan_->mark_constraint_dirty(slot.node);
+    plan_->mark_constraint_dirty(slot_nodes_[i]);
   }
 }
 

@@ -360,6 +360,9 @@ class Plan {
   std::unique_ptr<core::Hierarchy> hierarchy_;
   std::vector<core::AssignedSlot> slots_;
   std::unique_ptr<core::SolvePlan> plan_;
+  /// plan_->node_index of each slot's node, resolved at compile so a
+  /// rebind marks a changed slot's node dirty without a lookup.
+  std::vector<std::size_t> slot_nodes_;
   par::SerialContext serial_;
   core::WorkModel work_model_;
   int processors_ = 1;

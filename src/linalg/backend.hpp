@@ -78,7 +78,7 @@ struct Backend {
   /// upper triangle is unspecified.  blocked and simd update rows i >= j
   /// only, through each row tile's diagonal block, with the per-element fma
   /// chain of the full panel; ref keeps its frozen full update as the
-  /// oracle.  simd on AVX-512 runs ranks >= 32 through a packed 8 x 24
+  /// oracle.  simd on AVX-512 runs every rank through a packed 8 x 24
   /// tile over column blocks, with the same per-element chain.  Callers
   /// that need C whole mirror the lower triangle (kernels.hpp,
   /// mirror_lower).
@@ -108,7 +108,7 @@ struct Backend {
   /// covariance_downdate, bitwise equal to the eager sweep.  0 means never
   /// delay.  The delay pays only with a kernel that turns the extra rank
   /// into fewer passes over C, so only simd sets it, and only when its
-  /// AVX-512 set (the packed rank >= 32 tile) is active.
+  /// AVX-512 set (the packed tile) is active.
   Index delay_min_dim;
 };
 

@@ -627,20 +627,18 @@ void gemm_panel(Isa isa, bool trans, bool zero, double alpha, const double* a,
 // Packed rank-k covariance downdate (AVX-512).
 //
 // The rank-m panel above re-reads its whole k x strip B panel once per
-// 4-row tile, so a rank-64 call runs no faster per flop than four rank-16
-// calls.  The packed tile turns the extra rank into fewer passes over C:
-// 8 rows x 24 columns of C live in 24 zmm accumulators through the whole
-// reduction, each k step is 3 loads of W and 24 fmas whose coefficients
-// -W(k, i) are broadcast from an 8-wide k-major pack, and column blocks of
-// kPackCols columns are the outer loop so the k x kPackCols block of W
-// stays in L2 while every row tile of the lane sweeps it.  Each element is
-// fma(-W(k, i), W(k, j), acc) over ascending k from acc = C(i, j): the
-// panel's chain, so the lower triangle is bitwise the panel's.
+// 4-row tile and holds only 4 x 32 elements of C in registers.  The packed
+// tile makes fewer passes over C at any rank: 8 rows x 24 columns of C
+// live in 24 zmm accumulators through the whole reduction, each k step is
+// 3 loads of W and 24 fmas whose coefficients -W(k, i) are broadcast from
+// an 8-wide k-major pack, and column blocks of kPackCols columns are the
+// outer loop so the k x kPackCols block of W stays in L2 while every row
+// tile of the lane sweeps it.  Each element is fma(-W(k, i), W(k, j), acc)
+// over ascending k from acc = C(i, j): the panel's chain, so the lower
+// triangle is bitwise the panel's at every rank.
 
 #if PHMSE_SIMD_X86
 
-// Smallest rank the packed tile takes; below it the panel is as fast.
-constexpr Index kPackedMinRank = 32;
 // Column block: 20 tiles of 24 columns.  The k x 480 block of W is 240 KB
 // at k = 64, well inside L2.
 constexpr Index kPackCols = 480;
@@ -1447,7 +1445,7 @@ void gain_times_residual(par::ExecContext& ctx, const Matrix& v,
 
 void covariance_downdate(par::ExecContext& ctx, const Matrix& w, Matrix& c) {
 #if PHMSE_SIMD_X86
-  if (active() == Isa::kAvx512 && w.rows() >= kPackedMinRank) {
+  if (active() == Isa::kAvx512) {
     packed_downdate(ctx, w, c);
     return;
   }

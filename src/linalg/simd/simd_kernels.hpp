@@ -108,9 +108,11 @@ void trsm_lower_transposed(par::ExecContext& ctx, const Matrix& l, Matrix& b);
 void gain_times_residual(par::ExecContext& ctx, const Matrix& v,
                          const Vector& r, Vector& dx);
 
-/// C -= W^T * W on the lower triangle as simd rank-m panel updates
-/// (backend.hpp); on AVX-512, ranks >= 32 run the packed 8 x 24 tile over
-/// column blocks, with the same per-element chain.  Category: m-v.
+/// C -= W^T * W on the lower triangle (backend.hpp).  Chain: c(i, j)
+/// receives fma(-W(k, i), W(k, j), .) over ascending k, from C(i, j).  On
+/// AVX-512 every rank runs the packed 8 x 24 tile over column blocks, a
+/// lane's last row tile of fewer than 8 rows the panel; the other sets run
+/// rank-m panel updates.  Category: m-v.
 void covariance_downdate(par::ExecContext& ctx, const Matrix& w, Matrix& c);
 
 /// T -= A^T * W with the simd tn panel (backend.hpp).  Category: vec.

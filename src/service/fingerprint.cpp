@@ -1,7 +1,10 @@
 #include "service/fingerprint.hpp"
 
 #include <bit>
-#include <cstring>
+#include <string_view>
+#include <tuple>
+
+#include "linalg/backend.hpp"
 
 namespace phmse::service {
 
@@ -18,7 +21,7 @@ class Encoder {
   void integer(long long v) { word(static_cast<std::uint64_t>(v)); }
   void real(double v) { word(std::bit_cast<std::uint64_t>(v)); }
 
-  void string(const std::string& s) {
+  void string(std::string_view s) {
     integer(static_cast<long long>(s.size()));
     std::uint64_t w = 0;
     std::size_t filled = 0;
@@ -37,14 +40,43 @@ class Encoder {
   std::vector<std::uint64_t>& words_;
 };
 
-std::uint64_t fnv1a(const std::vector<std::uint64_t>& words) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (std::uint64_t w : words) {
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (w >> (8 * byte)) & 0xffu;
-      h *= 1099511628211ull;
-    }
+/// Words per constraint: kind, the atom array, axis, variance, category.
+constexpr std::size_t kConstraintWords =
+    4 + std::tuple_size_v<decltype(cons::Constraint::atoms)>;
+
+/// Fixed-seed 64-bit hash of whole words.  Four independent lanes each
+/// take every fourth word through a multiply-rotate-multiply round, so the
+/// multiplies of neighbouring words overlap; the finalizer folds the lanes
+/// and the length together and avalanches the result.  Only the plan cache
+/// reads the digest, and it compares the full encoding after a digest
+/// match, so the hash needs speed and spread, not stability or secrecy.
+std::uint64_t word_hash(const std::vector<std::uint64_t>& words) {
+  constexpr std::uint64_t kMul1 = 0x9E3779B185EBCA87ull;
+  constexpr std::uint64_t kMul2 = 0xC2B2AE3D27D4EB4Full;
+  constexpr std::uint64_t kMul3 = 0x165667B19E3779F9ull;
+  auto round = [](std::uint64_t acc, std::uint64_t w) {
+    return std::rotl(acc + w * kMul2, 31) * kMul1;
+  };
+  std::uint64_t lane[4] = {kMul1 + kMul2, kMul2, 0, 0 - kMul1};
+  const std::size_t n = words.size();
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    lane[0] = round(lane[0], words[i]);
+    lane[1] = round(lane[1], words[i + 1]);
+    lane[2] = round(lane[2], words[i + 2]);
+    lane[3] = round(lane[3], words[i + 3]);
   }
+  for (std::size_t l = 0; i < n; ++i, ++l) lane[l] = round(lane[l], words[i]);
+
+  std::uint64_t h = std::rotl(lane[0], 1) + std::rotl(lane[1], 7) +
+                    std::rotl(lane[2], 12) + std::rotl(lane[3], 18);
+  for (const std::uint64_t l : lane) h = (h ^ round(0, l)) * kMul1 + kMul3;
+  h += static_cast<std::uint64_t>(n) * 8;
+  h ^= h >> 33;
+  h *= kMul2;
+  h ^= h >> 29;
+  h *= kMul3;
+  h ^= h >> 32;
   return h;
 }
 
@@ -55,16 +87,21 @@ Fingerprint fingerprint(const engine::Problem& problem,
   Fingerprint fp;
   if (problem.recipe.empty()) return fp;  // opaque decompose: uncacheable
 
+  const core::HierSolveOptions& s = options.solve;
+  // The backend the plan would dispatch: "" and the default's own name
+  // share a plan, and an unknown name fails here as compile would.
+  const std::string_view backend =
+      linalg::resolve_backend(s.backend, "HierSolveOptions.backend").name;
+
   Encoder enc(fp.words);
   enc.string(problem.recipe);
   enc.integer(problem.num_atoms);
 
-  // Compile options that shape the plan.  calibrate_work_model and the
-  // work-model coefficients are deliberately excluded: they steer the
-  // schedule (a performance property), and reschedule() revises the
-  // schedule on a cached plan anyway — the numerics are bitwise identical
-  // across schedules (DESIGN.md §8).
-  const core::HierSolveOptions& s = options.solve;
+  // Compile options that shape the plan.  calibrate_work_model, the
+  // work-model coefficients and the processor count are deliberately
+  // excluded: they steer the schedule (a performance property), and
+  // reschedule() revises the schedule on a cached plan anyway — the
+  // numerics are bitwise identical across schedules (DESIGN.md §8).
   enc.integer(s.batch_size);
   enc.integer(s.max_cycles);
   enc.real(s.tolerance);
@@ -74,10 +111,15 @@ Fingerprint fingerprint(const engine::Problem& problem,
   enc.real(s.policy.regularization_init);
   enc.real(s.policy.regularization_growth);
   enc.real(s.policy.gate_chi2_per_dof);
+  enc.string(backend);
 
   // Constraint structure in problem order: everything the compiled slots
   // depend on except the observed value (which set_observations rebinds).
-  enc.integer(problem.constraints.size());
+  // The encoding is reserved to its exact size before the constraints,
+  // which are nearly all of it, are appended.
+  const auto count = static_cast<std::size_t>(problem.constraints.size());
+  enc.integer(static_cast<long long>(count));
+  fp.words.reserve(fp.words.size() + kConstraintWords * count);
   for (const cons::Constraint& c : problem.constraints.all()) {
     enc.integer(static_cast<long long>(c.kind));
     for (Index atom : c.atoms) enc.integer(atom);
@@ -86,7 +128,7 @@ Fingerprint fingerprint(const engine::Problem& problem,
     enc.integer(c.category);
   }
 
-  fp.digest = fnv1a(fp.words);
+  fp.digest = word_hash(fp.words);
   return fp;
 }
 

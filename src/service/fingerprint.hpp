@@ -3,16 +3,20 @@
 // Engine::compile depends on everything about a problem EXCEPT the observed
 // measurement values: the atom count, the decomposition recipe, each
 // constraint's kind / atoms / axis / variance / category, and the compile
-// options that shape the plan (solve parameters, policy, processor count).
-// Two submissions that agree on all of that can share one compiled plan and
-// differ only via Plan::set_observations — which is exactly what the
-// phmse::Server plan cache exploits.
+// options that shape the plan (solve parameters, policy, and the resolved
+// kernel backend's name).  The processor count is deliberately not
+// encoded: it only shapes the schedule, which Plan::reschedule revises on
+// a cached plan.  Two submissions that agree on all of that can share one
+// compiled plan and differ only via Plan::set_observations — which is
+// exactly what the phmse::Server plan cache exploits.
 //
-// The fingerprint is a canonical word encoding of those structural fields
-// plus a 64-bit FNV-1a digest of it.  Lookups compare the digest first and
-// then the full encoding, so a hash collision can never alias two
-// structurally different problems onto one plan (the property tests in
-// tests/service_test.cpp pin both directions).
+// The fingerprint is a canonical word encoding of those structural fields,
+// reserved to its exact size, plus a 64-bit digest of it: a fixed-seed
+// hash of whole words in four independent lanes.  Lookups compare the
+// digest first and then the full encoding, so a hash collision can never
+// alias two structurally different problems onto one plan (the property
+// tests in tests/service_test.cpp pin both directions).  The digest is
+// neither persisted nor printed; only the plan cache reads it.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +43,8 @@ struct Fingerprint {
 };
 
 /// Fingerprints `problem` under `options`.  Returns a non-cacheable (empty)
-/// fingerprint when problem.recipe is empty.
+/// fingerprint when problem.recipe is empty.  An unknown
+/// options.solve.backend fails fast, as Engine::compile would.
 Fingerprint fingerprint(const engine::Problem& problem,
                         const engine::CompileOptions& options);
 

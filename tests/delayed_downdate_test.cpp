@@ -2,8 +2,8 @@
 // delay_min_dim, apply_all queues each applied batch's W and flushes
 // BatchUpdater::kDelayBatches batches as one downdate, gathering and
 // replaying the rows H reads before every G = H C.  These suites pin
-//   * the kernels: simd's packed rank >= 32 tile (AVX-512) leaves the lower
-//     triangle bitwise the blocked panel's, and every backend's
+//   * the kernels: simd's packed tile (AVX-512, every rank) leaves the
+//     lower triangle bitwise the blocked panel's, and every backend's
 //     downdate_rows replays the downdate's own chain over gathered rows;
 //   * the sweep: through a copy of each backend table with delay_min_dim
 //     lowered to 8, x, C, the applied-row archive and the NodeReport are
@@ -96,14 +96,17 @@ linalg::Backend with_delay(const linalg::Backend& b, Index delay_min_dim) {
 // -- the kernels --------------------------------------------------------------
 
 TEST(PackedDowndate, LowerTriangleIsBitwiseTheBlockedPanel) {
-  // On AVX-512 simd runs ranks >= 32 through the packed tile; elsewhere it
-  // runs the panel, and the equality holds trivially.
+  // On AVX-512 simd runs every rank through the packed tile; elsewhere it
+  // runs the panel, and the equality holds trivially.  The n include lanes
+  // whose last row tile is short of 8 rows and column counts around the
+  // tile's 24.
   Rng rng(16001);
   Executors ex;
   const linalg::Backend& simd = *linalg::find_backend("simd");
   const linalg::Backend& blocked = *linalg::find_backend("blocked");
-  for (const Index n : {1, 7, 33, 257, 1021, 2697}) {
-    for (const Index m : {32, 33, 64, 128}) {
+  for (const Index n :
+       {1, 7, 8, 9, 23, 24, 25, 33, 36, 129, 257, 258, 1021, 2697}) {
+    for (const Index m : {1, 2, 7, 8, 9, 15, 16, 17, 32, 33, 64, 128}) {
       const Matrix w = random_matrix(m, n, rng);
       const Matrix c0 = random_symmetric(n, rng);
       Matrix want = c0;

@@ -6,6 +6,8 @@
 // describe() dump.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <vector>
 
 #include "constraints/helix_gen.hpp"
@@ -210,6 +212,44 @@ TEST(Engine, NoOpObservationRebindRecomputesNothing) {
   EXPECT_TRUE(touched.report.incremental);
   EXPECT_GT(touched.report.nodes_recomputed, 0);
   EXPECT_LT(touched.report.nodes_recomputed, num_nodes);
+}
+
+// A rebind marks exactly the nodes that own a changed slot, however many
+// slots change, and the retraction ledger stops at 64 distinct slots;
+// rebinding the same slots again changes neither count.
+TEST(Engine, RebindMarksTheNodesOwningChangedSlots) {
+  Fixture f;
+  const auto total = static_cast<std::size_t>(f.set.size());
+  ASSERT_GT(total, 65u);
+  // Each slot's owner, from an independent assignment of the same set.
+  core::Hierarchy owners_tree = core::build_helix_hierarchy(f.model);
+  std::vector<core::AssignedSlot> owners;
+  core::assign_constraints(owners_tree, f.set, owners);
+  ASSERT_EQ(owners.size(), total);
+
+  for (const std::size_t changed : {std::size_t{1}, std::size_t{65}, total}) {
+    Plan plan = Engine::compile(f.problem(), Fixture::options(1));
+    std::vector<double> values;
+    values.reserve(total);
+    for (Index i = 0; i < f.set.size(); ++i) {
+      values.push_back(f.set[i].observed);
+    }
+    std::vector<std::size_t> slots;
+    std::set<const core::HierNode*> dirty;
+    for (std::size_t k = 0; k < changed; ++k) {
+      slots.push_back(k * total / changed);  // spread over the set
+      dirty.insert(owners[slots.back()].node);
+    }
+    const std::size_t ledger = std::min<std::size_t>(changed, 64);
+    for (int round = 0; round < 2; ++round) {
+      for (const std::size_t s : slots) values[s] += 0.01;
+      plan.set_observations(values);
+      EXPECT_EQ(plan.pending_dirty_nodes(), dirty.size())
+          << changed << " slots, round " << round;
+      EXPECT_EQ(plan.pending_observation_changes(), ledger)
+          << changed << " slots, round " << round;
+    }
+  }
 }
 
 TEST(Engine, FlatAndBisectionFactoriesCompile) {

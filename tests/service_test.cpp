@@ -11,6 +11,7 @@
 #include "constraints/helix_gen.hpp"
 #include "core/assign.hpp"
 #include "engine/engine.hpp"
+#include "linalg/backend.hpp"
 #include "molecule/rna_helix.hpp"
 #include "parallel/thread_pool.hpp"
 #include "service/fingerprint.hpp"
@@ -146,6 +147,25 @@ TEST(Fingerprint, StructuralPerturbationsMiss) {
     p.num_atoms += 1;
     EXPECT_FALSE(fingerprint(p, opts) == base) << "atom count";
   }
+  {  // different backend; "" and the default backend's own name agree
+    engine::CompileOptions o = opts;
+    for (const linalg::Backend* b : linalg::all_backends()) {
+      o.solve.backend = b->name;
+      EXPECT_EQ(fingerprint(f.problem(), o) == base,
+                b == &linalg::default_backend())
+          << "backend " << b->name;
+    }
+    o.solve.backend = "tpu";  // fails here as compile would
+    EXPECT_THROW(fingerprint(f.problem(), o), Error);
+  }
+}
+
+TEST(Fingerprint, EncodingIsReservedToItsSize) {
+  // The constraints are appended into a reserve that fits the encoding
+  // exactly: no regrowth while they are written, and no slack kept.
+  Fixture f;
+  const Fingerprint fp = fingerprint(f.problem(), Fixture::options());
+  EXPECT_EQ(fp.words.capacity(), fp.words.size());
 }
 
 TEST(Fingerprint, EmptyRecipeIsUncacheable) {
@@ -366,6 +386,26 @@ TEST(Server, ServesTenantsBitwiseIdenticalToDirectSolves) {
   // (one per worker) can miss.
   EXPECT_GE(s.cache.hits, 4);
   EXPECT_LE(s.cache.misses, 2);
+}
+
+TEST(Server, EachBackendIsServedByItsOwnPlan) {
+  // The backend is part of a plan's identity: a "ref" request on the
+  // structure a "simd" request compiled must not be served the simd plan.
+  Fixture f;
+  Server server(ServerOptions{.workers = 1});
+  auto solve_on = [&](const char* backend, std::uint64_t seed) {
+    Request req = f.request(seed);
+    req.compile.solve.backend = backend;
+    return server.submit("t", std::move(req)).get();
+  };
+  const Response simd = solve_on("simd", 1);
+  EXPECT_EQ(simd.report.backend, "simd");
+  const Response ref = solve_on("ref", 2);
+  EXPECT_EQ(ref.report.backend, "ref");
+  EXPECT_FALSE(ref.cache_hit);
+  const Response again = solve_on("simd", 3);
+  EXPECT_EQ(again.report.backend, "simd");
+  EXPECT_TRUE(again.cache_hit);
 }
 
 TEST(Server, ObservationsDefaultToTheProblemsValues) {
