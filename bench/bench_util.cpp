@@ -147,42 +147,6 @@ double time_best(const std::function<void()>& fn, int min_reps,
   return best;
 }
 
-Interleaved time_interleaved(int rounds, const std::function<void()>& steady,
-                             const std::function<void()>& variant) {
-  PHMSE_CHECK(rounds >= 4, "time_interleaved: needs at least 4 rounds");
-  const auto timed = [](const std::function<void()>& fn) {
-    Stopwatch s;
-    fn();
-    return s.seconds();
-  };
-  Interleaved out;
-  double best_variant = 1e300;
-  std::vector<double> ratios;
-  ratios.reserve(static_cast<std::size_t>(rounds));
-  for (int r = 0; r < rounds; ++r) {
-    const double s1 = timed(steady);
-    const double v1 = timed(variant);
-    const double v2 = timed(variant);
-    const double s2 = timed(steady);
-    out.best_steady = std::min({out.best_steady, s1, s2});
-    best_variant = std::min({best_variant, v1, v2});
-    ratios.push_back((v1 + v2) / (s1 + s2));
-  }
-  const int blocks = 4;
-  const int block_len = rounds / blocks;
-  double median_ratio = 1e300;
-  for (int b = 0; b < blocks; ++b) {
-    const auto begin = ratios.begin() + b * block_len;
-    std::nth_element(begin, begin + block_len / 2, begin + block_len);
-    median_ratio = std::min(median_ratio, begin[block_len / 2]);
-  }
-  const double min_ratio = best_variant / out.best_steady;
-  std::printf("  [estimators] block-median %+5.2f%%  min-ratio %+5.2f%%\n",
-              100.0 * (median_ratio - 1.0), 100.0 * (min_ratio - 1.0));
-  out.ratio = std::min(median_ratio, min_ratio);
-  return out;
-}
-
 namespace {
 
 // Minimal JSON string escaping (kernel/impl names are plain identifiers,

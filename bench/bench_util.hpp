@@ -122,29 +122,6 @@ struct KernelBenchRecord {
 double time_best(const std::function<void()>& fn, int min_reps,
                  int* reps_out);
 
-/// An interleaved estimate of how much slower `variant` runs than `steady`.
-/// Each round runs both orders (steady-variant-variant-steady) so slot
-/// effects — clock ramps, cache state left by the previous call — cancel
-/// inside the round, keeping the per-round ratio unimodal, and a co-tenant
-/// stealing the machine perturbs both the same way.  Two estimators of the
-/// true variant/steady ratio:
-///  - blocked median: split the run into four time blocks, take each
-///    block's median ratio, keep the smallest.  A co-tenant burst skews the
-///    blocks it overlaps; any quiet window in the run leaves one block's
-///    median clean;
-///  - ratio of per-side minima: each minimum approximates that side's
-///    unloaded speed (same convention as time_best).
-/// Both converge to the same value on a quiet machine; under load either
-/// can be pushed high by noise, so the smaller of the two is the better
-/// estimate of the unloaded ratio — the quantity the robustness, refine and
-/// deadline gates are about.  `rounds` must be at least 4.
-struct Interleaved {
-  double best_steady = 1e300;  // fastest steady call of any round
-  double ratio = 1.0;          // min(block-median, min-ratio)
-};
-Interleaved time_interleaved(int rounds, const std::function<void()>& steady,
-                             const std::function<void()>& variant);
-
 /// Writes `records` to `path` as a phmse-kernel-bench-v1 JSON document.
 /// Throws phmse::Error if the file cannot be written.
 void write_kernel_bench_json(const std::string& path,

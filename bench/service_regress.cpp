@@ -3,9 +3,8 @@
 // The workload is the paper's helix problem served through phmse::Server:
 // T tenants each submit N requests that share one structural fingerprint
 // but carry fresh observation vectors, closed-loop (a tenant submits its
-// next request only after consuming the previous future).  Three modes run,
-// each on its own server; warm and deadline alternate rounds
-// (time_interleaved):
+// next request only after consuming the previous future).  Two modes run
+// back to back:
 //
 //   cold     — plan_cache_capacity = 0: every request recompiles its plan,
 //              the per-request cost a service pays without the cache;
@@ -34,7 +33,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <future>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -133,41 +131,32 @@ service::Request make_request(const HelixProblem& p, Index length,
   return r;
 }
 
-// A server configured for `mode`; cached modes are warmed with one request
-// per worker, so their timed rounds lease pre-compiled instances from the
-// first submit.
-std::unique_ptr<service::Server> make_server(const HelixProblem& p,
-                                             Index length,
-                                             const std::string& mode,
-                                             int tenants, int workers) {
+ServiceBenchRecord run_mode(const HelixProblem& p, Index length,
+                            const std::string& mode, int tenants,
+                            int per_tenant, int workers) {
+  // "deadline" is the warm workload with a generous never-firing budget on
+  // every request: it isolates the cost of the armed cancel token.
   const bool cached = mode == "warm" || mode == "deadline";
+  const double deadline_seconds = mode == "deadline" ? 30.0 : 0.0;
+
   service::ServerOptions opts;
   opts.workers = workers;
   opts.plan_cache_capacity =
       cached ? static_cast<std::size_t>(workers + tenants) : 0;
   opts.max_pending = 4096;
   opts.max_pending_per_tenant = 4096;
-  auto server = std::make_unique<service::Server>(opts);
+  service::Server server(opts);
+
   if (cached) {
+    // Populate the cache before timing: one request per worker so the
+    // timed phase leases pre-compiled instances from the first submit.
     std::vector<std::future<service::Response>> warmup;
     for (int w = 0; w < workers; ++w) {
-      warmup.push_back(server->submit("warmup-" + std::to_string(w),
-                                      make_request(p, length, 1)));
+      warmup.push_back(server.submit("warmup-" + std::to_string(w),
+                                     make_request(p, length, 1)));
     }
     for (auto& fut : warmup) fut.get();
   }
-  return server;
-}
-
-// One timed closed-loop round of `mode` on `server`; the cache counters are
-// the round's own.
-ServiceBenchRecord run_round(service::Server& server, const HelixProblem& p,
-                             Index length, const std::string& mode,
-                             int tenants, int per_tenant, int workers) {
-  // "deadline" is the warm workload with a generous never-firing budget on
-  // every request: it isolates the cost of the armed cancel token.
-  const double deadline_seconds = mode == "deadline" ? 30.0 : 0.0;
-  const service::PlanCache::Stats before = server.stats().cache;
 
   std::vector<std::vector<double>> latencies(
       static_cast<std::size_t>(tenants));
@@ -229,8 +218,8 @@ ServiceBenchRecord run_round(service::Server& server, const HelixProblem& p,
   r.queue_p50_ms = percentile_ms(all_queue, 0.50);
   r.queue_p95_ms = percentile_ms(all_queue, 0.95);
   r.queue_p99_ms = percentile_ms(all_queue, 0.99);
-  r.cache_hits = stats.cache.hits - before.hits;
-  r.cache_misses = stats.cache.misses - before.misses;
+  r.cache_hits = stats.cache.hits;
+  r.cache_misses = stats.cache.misses;
   return r;
 }
 
@@ -254,41 +243,9 @@ int run(const std::string& out_path) {
   std::printf("compile: calibrated work model, 1 cycle, batch 16\n\n");
 
   std::vector<ServiceBenchRecord> records;
-  {
-    const auto cold = make_server(p, length, "cold", tenants, workers);
-    records.push_back(
-        run_round(*cold, p, length, "cold", tenants, per_tenant, workers));
+  for (const std::string mode : {"cold", "warm", "deadline"}) {
+    records.push_back(run_mode(p, length, mode, tenants, per_tenant, workers));
   }
-  // warm and deadline run on their own warmed servers as the steady and
-  // variant of time_interleaved: one round lasts well under a second, too
-  // short for the deadline gate's 2% bound to read from a single pair.
-  // The warm row is its fastest round; the deadline row scales the warm
-  // throughput by the interleaved ratio, as solve_regress records its
-  // robustness and refine rows, and keeps its fastest round's latencies.
-  constexpr int kRounds = 16;
-  const auto warm_server = make_server(p, length, "warm", tenants, workers);
-  const auto deadline_server =
-      make_server(p, length, "deadline", tenants, workers);
-  ServiceBenchRecord warm;
-  ServiceBenchRecord deadline;
-  const auto keep_fastest = [](ServiceBenchRecord& best,
-                               const ServiceBenchRecord& r) {
-    if (r.solves_per_sec > best.solves_per_sec) best = r;
-  };
-  const Interleaved interleaved = time_interleaved(
-      kRounds,
-      [&] {
-        keep_fastest(warm, run_round(*warm_server, p, length, "warm",
-                                     tenants, per_tenant, workers));
-      },
-      [&] {
-        keep_fastest(deadline,
-                     run_round(*deadline_server, p, length, "deadline",
-                               tenants, per_tenant, workers));
-      });
-  deadline.solves_per_sec = warm.solves_per_sec / interleaved.ratio;
-  records.push_back(warm);
-  records.push_back(deadline);
 
   std::printf("%-10s %-8s %12s %10s %10s %10s %10s %7s %7s\n", "workload",
               "mode", "solves/sec", "p50 ms", "p95 ms", "p99 ms", "q p95 ms",

@@ -44,42 +44,6 @@ class Encoder {
 constexpr std::size_t kConstraintWords =
     4 + std::tuple_size_v<decltype(cons::Constraint::atoms)>;
 
-/// Fixed-seed 64-bit hash of whole words.  Four independent lanes each
-/// take every fourth word through a multiply-rotate-multiply round, so the
-/// multiplies of neighbouring words overlap; the finalizer folds the lanes
-/// and the length together and avalanches the result.  Only the plan cache
-/// reads the digest, and it compares the full encoding after a digest
-/// match, so the hash needs speed and spread, not stability or secrecy.
-std::uint64_t word_hash(const std::vector<std::uint64_t>& words) {
-  constexpr std::uint64_t kMul1 = 0x9E3779B185EBCA87ull;
-  constexpr std::uint64_t kMul2 = 0xC2B2AE3D27D4EB4Full;
-  constexpr std::uint64_t kMul3 = 0x165667B19E3779F9ull;
-  auto round = [](std::uint64_t acc, std::uint64_t w) {
-    return std::rotl(acc + w * kMul2, 31) * kMul1;
-  };
-  std::uint64_t lane[4] = {kMul1 + kMul2, kMul2, 0, 0 - kMul1};
-  const std::size_t n = words.size();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    lane[0] = round(lane[0], words[i]);
-    lane[1] = round(lane[1], words[i + 1]);
-    lane[2] = round(lane[2], words[i + 2]);
-    lane[3] = round(lane[3], words[i + 3]);
-  }
-  for (std::size_t l = 0; i < n; ++i, ++l) lane[l] = round(lane[l], words[i]);
-
-  std::uint64_t h = std::rotl(lane[0], 1) + std::rotl(lane[1], 7) +
-                    std::rotl(lane[2], 12) + std::rotl(lane[3], 18);
-  for (const std::uint64_t l : lane) h = (h ^ round(0, l)) * kMul1 + kMul3;
-  h += static_cast<std::uint64_t>(n) * 8;
-  h ^= h >> 33;
-  h *= kMul2;
-  h ^= h >> 29;
-  h *= kMul3;
-  h ^= h >> 32;
-  return h;
-}
-
 }  // namespace
 
 Fingerprint fingerprint(const engine::Problem& problem,
@@ -127,8 +91,6 @@ Fingerprint fingerprint(const engine::Problem& problem,
     enc.real(c.variance);
     enc.integer(c.category);
   }
-
-  fp.digest = word_hash(fp.words);
   return fp;
 }
 

@@ -11,12 +11,12 @@
 // exactly what the phmse::Server plan cache exploits.
 //
 // The fingerprint is a canonical word encoding of those structural fields,
-// reserved to its exact size, plus a 64-bit digest of it: a fixed-seed
-// hash of whole words in four independent lanes.  Lookups compare the
-// digest first and then the full encoding, so a hash collision can never
-// alias two structurally different problems onto one plan (the property
-// tests in tests/service_test.cpp pin both directions).  The digest is
-// neither persisted nor printed; only the plan cache reads it.
+// reserved to its exact size.  Lookups compare the full encoding, so two
+// structurally different problems can never share one plan (the property
+// tests in tests/service_test.cpp pin both directions).  There is no hash:
+// the plan cache's only reader compares encodings in a short list scan,
+// where a miss stops at the size or the first differing word and a hit
+// must compare every word anyway.
 #pragma once
 
 #include <cstdint>
@@ -27,11 +27,9 @@
 namespace phmse::service {
 
 /// Canonical structural identity of a compile input.  Equality is exact
-/// (full encoding compare), not just hash equality.
+/// (full encoding compare).
 struct Fingerprint {
-  std::uint64_t digest = 0;
-  /// Canonical encoding the digest is computed over; kept so equality can
-  /// never be fooled by a 64-bit collision.
+  /// Canonical encoding of the structural fields.
   std::vector<std::uint64_t> words;
 
   bool operator==(const Fingerprint& other) const = default;

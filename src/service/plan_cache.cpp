@@ -56,9 +56,7 @@ PlanLease PlanCache::acquire(const engine::Problem& problem,
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-      if (it->fingerprint.digest != fp.digest || it->fingerprint != fp) {
-        continue;
-      }
+      if (it->fingerprint != fp) continue;
       entries_.splice(entries_.begin(), entries_, it);  // touch MRU
       if (!it->idle.empty()) {
         engine::Plan plan = std::move(it->idle.back());
@@ -80,8 +78,7 @@ PlanLease PlanCache::acquire(const engine::Problem& problem,
 void PlanCache::release_(const Fingerprint& fingerprint, engine::Plan plan) {
   const std::lock_guard<std::mutex> lock(mutex_);
   for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    if (it->fingerprint.digest == fingerprint.digest &&
-        it->fingerprint == fingerprint) {
+    if (it->fingerprint == fingerprint) {
       entries_.splice(entries_.begin(), entries_, it);
       it->idle.push_back(std::move(plan));
       ++idle_instances_;
