@@ -561,7 +561,7 @@ bool SolvePlan::try_run_lowrank(par::ExecContext& ctx, const Vector& initial_x,
 // are always updated before their parent reads them: the recursion flattens
 // to one loop.
 void SolvePlan::run_nodes_(par::ExecContext* ctx, simarch::SimMachine* machine,
-                           const Vector& x0) {
+                           const par::CancelToken* cancel, const Vector& x0) {
   int wave = -1;
   for (const std::size_t i : order_) {
     NodeWork& w = nodes_[i];
@@ -587,7 +587,7 @@ void SolvePlan::run_nodes_(par::ExecContext* ctx, simarch::SimMachine* machine,
     // The simulated clock is virtual but the deadline clock is real: polls
     // read the host's steady clock, so a wall-clock budget bounds a
     // simulated solve exactly like a real one.
-    sim.bind_cancel_token(cancel_);
+    sim.bind_cancel_token(cancel);
     update_node_(sim, w, x0);
   }
 }
@@ -603,6 +603,7 @@ void SolvePlan::run_nodes_(par::ExecContext* ctx, simarch::SimMachine* machine,
 // exception back; an inline-child failure is held until the remote children
 // have joined (they capture this frame by reference) and only then rethrown.
 void SolvePlan::run_threaded_node_(par::ThreadPool& pool, std::size_t index,
+                                   const par::CancelToken* cancel,
                                    const Vector& x0) {
   NodeWork& w = nodes_[index];
   // Incremental cycle: an unmasked subtree is served from its checkpoint —
@@ -616,13 +617,13 @@ void SolvePlan::run_threaded_node_(par::ThreadPool& pool, std::size_t index,
   // A queued subtree task that has not started when the token fires is
   // never entered (TaskGroup records CancelledError in its place), so a
   // cancelled threaded run stops at task granularity, not tree granularity.
-  group.bind_cancel_token(cancel_);
+  group.bind_cancel_token(cancel);
   for (std::size_t ci : w.remote_children) {
     if (cycle_incremental_ && !exec_[ci]) continue;
     HierNode* child = nodes_[ci].node;
     try {
       pool.submit(child->proc_first, [&, ci] {
-        group.run([&] { run_threaded_node_(pool, ci, x0); });
+        group.run([&] { run_threaded_node_(pool, ci, cancel, x0); });
       });
     } catch (...) {
       group.fail(std::current_exception());
@@ -632,7 +633,7 @@ void SolvePlan::run_threaded_node_(par::ThreadPool& pool, std::size_t index,
   try {
     for (std::size_t ci : w.inline_children) {
       if (cycle_incremental_ && !exec_[ci]) continue;
-      run_threaded_node_(pool, ci, x0);
+      run_threaded_node_(pool, ci, cancel, x0);
     }
   } catch (...) {
     inline_error = std::current_exception();
@@ -642,13 +643,14 @@ void SolvePlan::run_threaded_node_(par::ThreadPool& pool, std::size_t index,
   group.rethrow_any();
 
   par::TeamContext ctx(pool, w.node->proc_first, w.node->proc_count);
-  ctx.bind_cancel_token(cancel_);
+  ctx.bind_cancel_token(cancel);
   update_node_(ctx, w, x0);
   w.profile += ctx.profile();
 }
 
 PlanRunStats SolvePlan::run(Executor exec, const Vector& initial_x,
-                            bool incremental) {
+                            bool incremental,
+                            const par::CancelToken* cancel) {
   if (par::ThreadPool* pool = exec.pool()) {
     // Overlapping teams could deadlock the fork/join, so refuse before any
     // node (or the checkpoint) is touched.
@@ -660,11 +662,12 @@ PlanRunStats SolvePlan::run(Executor exec, const Vector& initial_x,
     PlanRunStats stats =
         run_cycles_(initial_x, incremental, [&](const Vector& x0) {
           par::TaskGroup group(1);
-          group.bind_cancel_token(cancel_);
+          group.bind_cancel_token(cancel);
           try {
             pool->submit(hierarchy_->root().proc_first, [&] {
-              group.run(
-                  [&] { run_threaded_node_(*pool, nodes_.size() - 1, x0); });
+              group.run([&] {
+                run_threaded_node_(*pool, nodes_.size() - 1, cancel, x0);
+              });
             });
           } catch (...) {
             group.fail(std::current_exception());
@@ -678,17 +681,17 @@ PlanRunStats SolvePlan::run(Executor exec, const Vector& initial_x,
     machine->reset();
     PlanRunStats stats = run_cycles_(
         initial_x, incremental,
-        [&](const Vector& x0) { run_nodes_(nullptr, machine, x0); });
+        [&](const Vector& x0) { run_nodes_(nullptr, machine, cancel, x0); });
     stats.vtime = machine->elapsed();
     stats.breakdown = machine->reported_profile();
     return stats;
   }
   par::ExecContext& ctx = *exec.context();
-  const ScopedCancelBind bind(ctx, cancel_);
+  const ScopedCancelBind bind(ctx, cancel);
   const perf::Profile before = ctx.profile();
-  PlanRunStats stats =
-      run_cycles_(initial_x, incremental,
-                  [&](const Vector& x0) { run_nodes_(&ctx, nullptr, x0); });
+  PlanRunStats stats = run_cycles_(
+      initial_x, incremental,
+      [&](const Vector& x0) { run_nodes_(&ctx, nullptr, cancel, x0); });
   stats.breakdown = ctx.profile().minus(before);
   return stats;
 }

@@ -185,8 +185,23 @@ class SolvePlan {
   /// into the report.  Without a valid checkpoint the run silently degrades
   /// to a full one (PlanRunStats::incremental stays false).  Either way the
   /// posterior and the report are bitwise identical to a full run.
+  ///
+  /// Cancellation (DESIGN.md §13): every executor polls `cancel` (null =
+  /// none, which leaves a caller context's own bound token in force; it
+  /// must outlive the run) — the passes at node boundaries, the batch
+  /// sweep between batches, and the threaded recursion's task groups
+  /// before entering queued subtree tasks.  A poll that observes the stop
+  /// throws par::CancelledError out of the run — after every lane has
+  /// joined — and the abort is transactional by construction: the
+  /// checkpoint was already invalidated at run start and the dirty marks
+  /// drain only on completion, so the plan stays reusable and the NEXT
+  /// exact run re-executes every node, bitwise identical to a run that was
+  /// never cancelled (the per-batch update itself commits all-or-nothing,
+  /// so no node state is ever torn).  The aborted run's report records
+  /// cancelled + where (last_report()).
   PlanRunStats run(Executor exec, const linalg::Vector& initial_x,
-                   bool incremental = false);
+                   bool incremental = false,
+                   const par::CancelToken* cancel = nullptr);
 
   /// Post-order index of `node` in this plan, the handle
   /// mark_constraint_dirty takes.  `node` must belong to the hierarchy
@@ -244,22 +259,6 @@ class SolvePlan {
   /// the start of every run — an exception mid-run leaves mixed states —
   /// and re-established when the run completes.
   bool has_checkpoint() const { return has_checkpoint_; }
-
-  /// Binds a cooperative cancellation token observed by every executor
-  /// (DESIGN.md §13): the passes poll it at node boundaries, the batch
-  /// sweep polls it between batches, and the threaded recursion's task
-  /// groups check it before entering queued subtree tasks.  A poll that
-  /// observes the stop throws par::CancelledError out of the run — after
-  /// every lane has joined — and the abort is transactional by
-  /// construction: the checkpoint was already invalidated at run start and
-  /// the dirty marks drain only on completion, so the plan stays reusable
-  /// and the NEXT exact solve re-executes every node, bitwise identical to
-  /// a run that was never cancelled (the per-batch update itself commits
-  /// all-or-nothing, so no node state is ever torn).  The aborted run's
-  /// report_ records cancelled + where (last_report()).  Null detaches; the
-  /// token must outlive every run started while it is bound.
-  void bind_cancel(const par::CancelToken* token) { cancel_ = token; }
-  const par::CancelToken* cancel_token() const { return cancel_; }
 
   /// Nodes currently marked observation-dirty (before ancestor
   /// propagation, which happens when the next incremental run starts).
@@ -326,8 +325,9 @@ class SolvePlan {
   void update_node_(par::ExecContext& ctx, NodeWork& w,
                     const linalg::Vector& x0);
   void run_nodes_(par::ExecContext* ctx, simarch::SimMachine* machine,
-                  const linalg::Vector& x0);
+                  const par::CancelToken* cancel, const linalg::Vector& x0);
   void run_threaded_node_(par::ThreadPool& pool, std::size_t index,
+                          const par::CancelToken* cancel,
                           const linalg::Vector& x0);
   void prepare_schedule_(const linalg::Vector& initial_x, bool incremental);
   template <typename PassFn>
@@ -371,8 +371,6 @@ class SolvePlan {
   /// (set on entry, cleared on success).  A subsequent low-rank call
   /// refuses until an exact run has rebuilt the root.
   bool lowrank_in_progress_ = false;
-  /// Cooperative cancellation token (see bind_cancel); null = none.
-  const par::CancelToken* cancel_ = nullptr;
   /// The initial state of the last completed single-cycle run; leaves whose
   /// slice differs bitwise from the incoming initial_x are re-executed.
   linalg::Vector last_initial_;

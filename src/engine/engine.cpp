@@ -292,22 +292,9 @@ Result Plan::solve_lowrank(const linalg::Vector& initial_x) {
   return solve_(serial_, initial_x, /*incremental=*/true, {});
 }
 
-const par::CancelToken* Plan::arm_controls_(const SolveOptions& controls) {
-  if (controls.deadline_seconds > 0.0) {
-    // The plan's scratch token carries the deadline clock; linking keeps the
-    // caller's token (if any) authoritative for explicit cancellation
-    // without ever mutating it.
-    run_token_->reset();
-    run_token_->link(controls.cancel);
-    run_token_->set_deadline_after(controls.deadline_seconds);
-    return run_token_.get();
-  }
-  return controls.cancel;
-}
-
 Result Plan::solve_(core::Executor exec, const linalg::Vector& initial_x,
                     bool incremental, const SolveOptions& controls) {
-  const par::CancelToken* token = arm_controls_(controls);
+  const par::CancelToken* token = controls.cancel;
   if (token != nullptr && token->stop_requested()) {
     // Shed before touching the plan: a budget spent (or a cancel raised)
     // before the solve starts must not burn a single batch.
@@ -330,16 +317,10 @@ Result Plan::solve_(core::Executor exec, const linalg::Vector& initial_x,
     }
   }
   const SolveFlight flight(*in_solve_);
-  // The token (null for an uncontrolled solve) is bound for this run only.
-  struct Unbind {
-    core::SolvePlan& plan;
-    ~Unbind() { plan.bind_cancel(nullptr); }
-  } const unbind{*plan_};
-  plan_->bind_cancel(token);
   Stopwatch sw;
   core::PlanRunStats stats;
   try {
-    stats = plan_->run(exec, initial_x, incremental);
+    stats = plan_->run(exec, initial_x, incremental, token);
   } catch (const par::CancelledError& e) {
     if (token != nullptr && e.deadline_expired) {
       throw DeadlineError(std::string("solve: ") + e.what());

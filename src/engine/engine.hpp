@@ -15,6 +15,11 @@
 //              returning the posterior with per-phase timing and
 //              per-category perf counters.
 //
+// The caller's par::CancelToken (SolveOptions::cancel: its cancel() flag
+// plus its deadline clock) is the only way a solve learns to stop; the
+// plan passes it down unchanged to the batch and node boundaries where the
+// executors poll it (DESIGN.md §13).
+//
 // A plan is reused across solves, processor counts (reschedule) and
 // observation vectors (set_observations); after the first solve the serial
 // steady state performs zero heap allocations.
@@ -52,19 +57,18 @@ class DeadlineError : public Error {
 /// solve/solve_incremental below.  Orthogonal to the compile-time
 /// HierSolveOptions: these arm one run, not the plan.
 struct SolveOptions {
-  /// Wall-clock budget for this solve, measured from the call; <= 0 means
-  /// unbounded.  On expiry the executors abort at the next batch/node
-  /// boundary and the call throws DeadlineError.
-  double deadline_seconds = 0.0;
-  /// External cancellation (e.g. a service watchdog); may be null, must
-  /// outlive the call.  An explicit cancel() surfaces as
-  /// par::CancelledError unless the token's own deadline has also passed
-  /// (then DeadlineError — the two mean the same thing to the caller).
+  /// The caller's token, passed down unchanged to every batch and node
+  /// boundary; may be null, must outlive the call, and is never mutated.
+  /// Its deadline clock (set_deadline_after) bounds the solve: on expiry
+  /// the executors abort at the next boundary and the call throws
+  /// DeadlineError.  An explicit cancel() surfaces as par::CancelledError
+  /// unless the token's deadline has also passed (then DeadlineError — the
+  /// two mean the same thing to the caller).
   const par::CancelToken* cancel = nullptr;
-  /// Opt-in graceful degradation: when the armed deadline is too tight for
-  /// the exact path (judged against an EWMA of this plan's past exact solve
-  /// times), answer with the low-rank perturbative root update instead —
-  /// first-order, Result::report.low_rank marks it — provided its
+  /// Opt-in graceful degradation: when the token's deadline is too tight
+  /// for the exact path (judged against an EWMA of this plan's past exact
+  /// solve times), answer with the low-rank perturbative root update
+  /// instead — first-order, Result::report.low_rank marks it — provided its
   /// preconditions hold (valid checkpoint, <= 64 pending changes, same
   /// initial_x; see solve_lowrank).  When they do not, the exact path runs
   /// anyway and takes its chances with the deadline.
@@ -188,9 +192,9 @@ class Plan {
   /// the re-linearization seam the refine::Refiner's iterated mode drives
   /// (DESIGN.md §14), symmetric with how set_observations rebinds values.
   ///
-  /// `controls` arm deadline/cancellation for this run (DESIGN.md §13): the
-  /// run observes them at every batch and node boundary on whichever
-  /// executor is used; on deadline expiry the solve throws DeadlineError
+  /// `controls` carry the caller's token for this run (DESIGN.md §13): the
+  /// run polls it at every batch and node boundary on whichever executor
+  /// is used; on deadline expiry the solve throws DeadlineError
   /// (explicit external cancellation surfaces as par::CancelledError), the
   /// plan's checkpoint machinery guarantees the abort is transactional, and
   /// — with controls.degrade_lowrank — a deadline too tight for the exact
@@ -343,15 +347,12 @@ class Plan {
   /// Builds a Result from a finished core run and feeds the exact-path
   /// duration EWMA the degradation rung consults (low-rank runs excluded).
   Result finish_result_(const core::PlanRunStats& stats, double seconds);
-  /// The one implementation behind solve/solve_incremental: arm the token,
-  /// shed an already-spent budget, maybe degrade, run the core plan on
-  /// `exec` with the token bound, translate deadline-caused CancelledError
-  /// into DeadlineError.
+  /// The one implementation behind solve/solve_incremental: shed an
+  /// already-spent budget, maybe degrade, run the core plan on `exec` under
+  /// the caller's token, translate deadline-caused CancelledError into
+  /// DeadlineError.
   Result solve_(core::Executor exec, const linalg::Vector& initial_x,
                 bool incremental, const SolveOptions& controls);
-  /// Arms run_token_ from `controls` and returns the token the run should
-  /// observe (null = uncontrolled).  The caller's token is never mutated.
-  const par::CancelToken* arm_controls_(const SolveOptions& controls);
   /// The low-rank fast path under its own single-flight guard:
   /// materializes the pending work-list and attempts try_run_lowrank;
   /// false = preconditions refused, the caller falls back.
@@ -378,11 +379,6 @@ class Plan {
   /// with a solve in flight is a caller bug the guard also catches).
   std::unique_ptr<std::atomic<bool>> in_solve_ =
       std::make_unique<std::atomic<bool>>(false);
-  /// Scratch token for deadline-armed solves (boxed: tokens hold atomics
-  /// and must not move while bound).  Reset per controlled solve; links to
-  /// the caller's SolveOptions::cancel so either source stops the run.
-  std::unique_ptr<par::CancelToken> run_token_ =
-      std::make_unique<par::CancelToken>();
   /// EWMA of this plan's completed exact (non-low-rank) solve durations —
   /// the degradation rung's estimate of what the exact path would cost.
   /// 0 until the first exact solve completes.

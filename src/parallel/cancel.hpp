@@ -1,12 +1,13 @@
 // Cooperative cancellation for the solve stack (DESIGN.md §13).
 //
 // A CancelToken is one atomic flag plus one deadline clock.  Whoever owns
-// the solve arms it — an explicit cancel() from a watchdog thread, a
-// deadline set from a per-request budget, or both — and the executors poll
-// it at the natural transaction boundaries of the hierarchical solve
-// (batch and node boundaries; see core::SolvePlan).  Polling is wait-free
-// and costs one relaxed atomic load when no deadline is set; the deadline
-// check adds one steady_clock read.
+// the solve arms it — an explicit cancel() from another thread, a deadline
+// set from a per-request budget, or both — and passes it down unchanged
+// (Plan::solve's SolveOptions::cancel, SolvePlan::run's last argument);
+// the executors poll it at the natural transaction boundaries of the
+// hierarchical solve (batch and node boundaries; see core::SolvePlan).
+// Polling is wait-free and costs one relaxed atomic load when no deadline
+// is set; the deadline check adds one steady_clock read.
 //
 // The token itself never interrupts anything: a poll site that observes
 // stop_requested() throws CancelledError, which propagates through the
@@ -50,7 +51,7 @@ class CancelledError : public Error {
 
 /// One cancellation scope: an atomic flag plus a steady-clock deadline.
 /// Thread-safe by construction — any thread may cancel() while executor
-/// lanes poll — but arming (set_deadline*/link/reset) belongs to the owner
+/// lanes poll — but arming (set_deadline*/reset) belongs to the owner
 /// between solves, not to concurrent pollers.
 class CancelToken {
  public:
@@ -68,39 +69,25 @@ class CancelToken {
   }
 
   /// Arms the deadline clock `seconds` from now (<= 0 fires immediately).
-  void set_deadline_after(double seconds) noexcept {
-    set_deadline(std::chrono::steady_clock::now() +
-                 std::chrono::nanoseconds(
-                     static_cast<std::int64_t>(seconds * 1e9)));
-  }
+  /// A budget past the steady clock's range, +inf included, disarms it.
+  void set_deadline_after(double seconds) noexcept;
 
-  /// Chains an upstream token: this token also reports stop when
-  /// `upstream` does (e.g. an engine-owned deadline token observing the
-  /// caller's cancellation token).  Set before sharing; null detaches.
-  void link(const CancelToken* upstream) noexcept { upstream_ = upstream; }
-
-  /// Disarms flag and deadline (the upstream link survives; re-link to
-  /// change it).  Owner-only, between solves.
+  /// Disarms flag and deadline.  Owner-only, between solves.
   void reset() noexcept {
     cancelled_.store(false, std::memory_order_release);
     deadline_ns_.store(kNoDeadline, std::memory_order_release);
   }
 
-  /// True when cancel() was called (here or upstream); never from the
-  /// deadline clock alone.
+  /// True when cancel() was called; never from the deadline clock alone.
   bool cancel_requested() const noexcept {
-    if (cancelled_.load(std::memory_order_acquire)) return true;
-    return upstream_ != nullptr && upstream_->cancel_requested();
+    return cancelled_.load(std::memory_order_acquire);
   }
 
-  /// True when an armed deadline (here or upstream) has passed.
+  /// True when the armed deadline has passed.
   bool expired() const noexcept {
     const std::int64_t ns = deadline_ns_.load(std::memory_order_acquire);
-    if (ns != kNoDeadline &&
-        std::chrono::steady_clock::now().time_since_epoch().count() >= ns) {
-      return true;
-    }
-    return upstream_ != nullptr && upstream_->expired();
+    return ns != kNoDeadline &&
+           std::chrono::steady_clock::now().time_since_epoch().count() >= ns;
   }
 
   /// The poll predicate: explicit cancellation or deadline expiry.
@@ -109,7 +96,7 @@ class CancelToken {
   }
 
   /// Seconds until the armed deadline (negative once past); +infinity when
-  /// no deadline is armed here or upstream.
+  /// no deadline is armed.
   double remaining_seconds() const noexcept;
 
  private:
@@ -118,7 +105,6 @@ class CancelToken {
 
   std::atomic<bool> cancelled_{false};
   std::atomic<std::int64_t> deadline_ns_{kNoDeadline};
-  const CancelToken* upstream_ = nullptr;
 };
 
 /// Throws the CancelledError for a poll site that observed `token` firing,

@@ -71,8 +71,6 @@ void validate(const RefineOptions& options) {
                   options.divergence_ratio > 1.0,
               "refine: divergence_ratio must be > 1");
   PHMSE_CHECK(options.patience >= 1, "refine: patience must be >= 1");
-  PHMSE_CHECK(std::isfinite(options.deadline_seconds),
-              "refine: deadline_seconds must be finite");
   if (options.mode == Mode::kAnnealed) {
     PHMSE_CHECK(std::isfinite(options.initial_temperature) &&
                     options.initial_temperature >= 1.0,
@@ -95,14 +93,6 @@ Refiner::Refiner(engine::Plan& plan, const RefineOptions& options)
   validate(options_);
 }
 
-const par::CancelToken* Refiner::arm_token_() {
-  if (options_.deadline_seconds <= 0.0) return options_.cancel;
-  loop_token_.reset();
-  loop_token_.link(options_.cancel);
-  loop_token_.set_deadline_after(options_.deadline_seconds);
-  return &loop_token_;
-}
-
 engine::Result Refiner::refine(const linalg::Vector& initial_x) {
   return refine_(nullptr, initial_x);
 }
@@ -122,7 +112,7 @@ engine::Result Refiner::solve_at_(const core::Executor* exec,
 engine::Result Refiner::refine_(const core::Executor* exec,
                                 const linalg::Vector& initial_x) {
   engine::SolveOptions controls;
-  controls.cancel = arm_token_();
+  controls.cancel = options_.cancel;
 
   if (options_.mode == Mode::kSinglePass) {
     // One plan execution, bitwise identical to Plan::solve (with null

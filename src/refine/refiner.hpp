@@ -32,13 +32,14 @@
 // seed) therefore produce bitwise-identical trajectories and posteriors on
 // all three executors (tests/refine_determinism_test.cpp pins this).
 //
-// Deadlines (DESIGN.md §13): RefineOptions carries the same wall-clock
-// budget / external token controls as engine::SolveOptions.  The token is
-// polled between iterations and bound through every inner solve; once at
-// least one iteration has completed, expiry DEGRADES the call to the best
-// iterate so far (RefineReport::deadline_degraded) instead of erroring —
-// an any-time answer — while expiry before the first iterate completes
-// throws exactly like a plain solve.
+// Deadlines (DESIGN.md §13): RefineOptions::cancel is the caller's token,
+// exactly as engine::SolveOptions::cancel; its deadline clock bounds the
+// whole loop.  The token is polled between iterations and passed unchanged
+// to every inner solve; once at least one iteration has completed, a stop
+// DEGRADES the call to the best iterate so far
+// (RefineReport::deadline_degraded) instead of erroring — an any-time
+// answer — while a stop before the first iterate completes throws exactly
+// like a plain solve.
 #pragma once
 
 #include <cstdint>
@@ -101,11 +102,9 @@ struct RefineOptions {
   /// bitwise-identical trajectories on every executor.
   std::uint64_t seed = 0;
 
-  /// Wall-clock budget for the WHOLE loop, measured from refine();
-  /// <= 0 = unbounded.  See the file comment for degradation semantics.
-  double deadline_seconds = 0.0;
-  /// External cancellation; may be null, must outlive the call.  Same
-  /// degradation semantics as the deadline.
+  /// The caller's token (cancel() flag plus deadline clock) for the WHOLE
+  /// loop; may be null, must outlive the call.  See the file comment for
+  /// degradation semantics.
   const par::CancelToken* cancel = nullptr;
 };
 
@@ -120,8 +119,7 @@ void validate(const RefineOptions& options);
 /// iterate it returns: for iterated/annealed modes Result::state points at
 /// Refiner-owned storage valid until the next refine() call or the
 /// Refiner's destruction (single_pass results borrow from the plan exactly
-/// like Plan::solve).  Not movable (it embeds a CancelToken); create one
-/// where you use it.
+/// like Plan::solve).
 class Refiner {
  public:
   explicit Refiner(engine::Plan& plan, const RefineOptions& options = {});
@@ -154,9 +152,6 @@ class Refiner {
   /// One inner solve at linearization point `x`.
   engine::Result solve_at_(const core::Executor* exec, const linalg::Vector& x,
                            const engine::SolveOptions& controls);
-  /// Arms the loop-scope token from options_ (deadline and/or external
-  /// cancel); null when uncontrolled.
-  const par::CancelToken* arm_token_();
 
   engine::Plan* plan_;
   RefineOptions options_;
@@ -165,8 +160,6 @@ class Refiner {
   est::NodeState best_state_;
   /// Next linearization point (reused across iterations and calls).
   linalg::Vector x_lin_;
-  /// Loop-scope deadline token; links options_.cancel.
-  par::CancelToken loop_token_;
 };
 
 }  // namespace phmse::refine

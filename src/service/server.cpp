@@ -92,8 +92,8 @@ std::future<Response> Server::submit(const std::string& tenant,
   // Refinement controls (DESIGN.md §14): validate here so a malformed loop
   // configuration fails at the call site, then clamp the iteration count to
   // the tenant's server-side cap — the operator bounds how much worker time
-  // one request may multiply into.  The refine deadline/cancel fields are
-  // server-owned: the request's end-to-end budget is the only clock.
+  // one request may multiply into.  The refine token is server-owned: the
+  // request's end-to-end budget is the only clock.
   refine::validate(request.refine);
   if (request.refine.mode != refine::Mode::kSinglePass) {
     const auto cap_it = options_.tenant_refine_iteration_caps.find(tenant);
@@ -102,7 +102,6 @@ std::future<Response> Server::submit(const std::string& tenant,
                         : options_.max_refine_iterations;
     request.refine.max_iterations = std::min(request.refine.max_iterations, cap);
   }
-  request.refine.deadline_seconds = 0.0;
   request.refine.cancel = nullptr;
 
   const Clock::time_point now = Clock::now();
@@ -166,12 +165,18 @@ std::future<Response> Server::submit(const std::string& tenant,
     Job job;
     job.tenant = tenant;
     job.submitted = now;
-    job.has_deadline = request.deadline_seconds > 0.0 &&
-                       std::isfinite(request.deadline_seconds);
+    // A budget past the clock's range (+inf included) arms no deadline:
+    // the strict compare keeps `now + ticks` below time_point::max() after
+    // rounding, so the conversion cannot overflow.
+    const double ticks =
+        std::chrono::duration<double, Clock::period>(
+            std::chrono::duration<double>(request.deadline_seconds))
+            .count();
+    job.has_deadline =
+        ticks > 0.0 &&
+        ticks < static_cast<double>((Clock::time_point::max() - now).count());
     if (job.has_deadline) {
-      job.deadline_at =
-          now + std::chrono::duration_cast<Clock::duration>(
-                    std::chrono::duration<double>(request.deadline_seconds));
+      job.deadline_at = now + Clock::duration(static_cast<Clock::rep>(ticks));
     }
     job.probe = probe;
     job.seq = next_seq_++;
@@ -334,15 +339,10 @@ bool Server::backoff_sleep_(double seconds,
 void Server::execute_(Job& job) {
   const Clock::time_point start = Clock::now();
   // The solve runs under a stack-local token carrying the request's
-  // absolute deadline; registering it lets the watchdog cancel this solve
-  // once over-deadline (the executors also self-observe the deadline at
-  // every poll — the watchdog is belt over braces for stalled kernels).
+  // absolute deadline; the executors poll its clock at every batch and
+  // node boundary, so nothing else has to stop an over-deadline solve.
   par::CancelToken token;
-  if (job.has_deadline) {
-    token.set_deadline(job.deadline_at);
-    const std::lock_guard<std::mutex> lock(mutex_);
-    inflight_.emplace(job.seq, &token);
-  }
+  if (job.has_deadline) token.set_deadline(job.deadline_at);
   bool low_rank = false;
   bool refined = false;
   bool refine_degraded = false;
@@ -452,7 +452,6 @@ void Server::execute_(Job& job) {
       if (refined) ++refined_;
       if (refine_degraded) ++refine_degraded_;
       record_outcome_(job, /*success=*/true);
-      if (job.has_deadline) inflight_.erase(job.seq);
     }
     job.promise.set_value(std::move(response));
   } catch (...) {
@@ -460,7 +459,6 @@ void Server::execute_(Job& job) {
       const std::lock_guard<std::mutex> lock(mutex_);
       ++failed_;
       record_outcome_(job, /*success=*/false);
-      if (job.has_deadline) inflight_.erase(job.seq);
     }
     job.promise.set_exception(std::current_exception());
   }
@@ -473,16 +471,9 @@ void Server::watchdog_loop_() {
   while (!watchdog_stop_) {
     watchdog_cv_.wait_for(lock, interval);
     if (watchdog_stop_) return;
-    const Clock::time_point now = Clock::now();
     // Shed queued requests whose budget expired before a worker freed up:
     // they fail immediately instead of occupying a worker just to fail.
-    shed_expired_queued_(now);
-    // Cancel over-deadline in-flight solves.  The poll sites observe the
-    // token's own deadline clock anyway; the explicit cancel() is for the
-    // pathological case where the clock read races a long kernel.
-    for (const auto& [seq, token] : inflight_) {
-      if (token->expired()) token->cancel();
-    }
+    shed_expired_queued_(Clock::now());
   }
 }
 

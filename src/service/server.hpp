@@ -23,9 +23,9 @@
 // budget measured from submit().  A queued request whose budget expires is
 // shed — failed with engine::DeadlineError — before it ever occupies a
 // worker (both at dispatch and by the watchdog thread between dispatches);
-// an in-flight request runs under a CancelToken armed with the absolute
-// deadline, which the executors poll at batch/node boundaries, and the
-// watchdog additionally cancels it once over-deadline.  Transient solve
+// an in-flight request runs under its own CancelToken armed with the
+// absolute deadline, which the executors poll at batch/node boundaries,
+// so the token's clock alone stops it there.  Transient solve
 // failures retry with exponential backoff and jitter inside the request's
 // remaining budget; per-tenant circuit breakers stop a persistently
 // failing tenant from burning workers (closed → open after N consecutive
@@ -98,7 +98,8 @@ struct ServerOptions {
   /// Seconds an open breaker rejects before admitting a half-open probe.
   double breaker_cooldown_seconds = 0.5;
   /// Watchdog period: how often queued requests are checked for expired
-  /// deadlines and over-deadline in-flight solves are cancelled.
+  /// deadlines and shed.  In-flight solves need no watchdog: their token's
+  /// own deadline clock stops them at the next batch or node boundary.
   double watchdog_interval_seconds = 0.02;
   /// Outer-iteration ceiling for refined requests (DESIGN.md §14): a
   /// Request.refine.max_iterations above the tenant's cap is clamped (not
@@ -123,9 +124,10 @@ struct Request {
   std::vector<double> observations;
   /// Initial full-molecule estimate (dimension 3 * num_atoms, finite).
   linalg::Vector initial;
-  /// End-to-end wall-clock budget measured from submit(); <= 0 = unbounded.
-  /// Covers queueing, retries and the solve itself: on expiry the future
-  /// fails with engine::DeadlineError wherever the request happens to be.
+  /// End-to-end wall-clock budget measured from submit(); <= 0, or past
+  /// the steady clock's range (+inf included), = unbounded.  Covers
+  /// queueing, retries and the solve itself: on expiry the future fails
+  /// with engine::DeadlineError wherever the request happens to be.
   double deadline_seconds = 0.0;
   /// Transient-failure retries (regularized-retry exhaustion and similar
   /// recoverable solve errors) before the future fails; each retry backs
@@ -143,9 +145,9 @@ struct Request {
   /// Outer-loop refinement (DESIGN.md §14).  The default single_pass mode
   /// keeps today's incremental fast path; iterated/annealed requests run
   /// through a refine::Refiner on the leased plan.  max_iterations is
-  /// clamped to the tenant's server-side cap at submit(); the refine
-  /// deadline/cancel fields are overridden by the request's own end-to-end
-  /// budget (set deadline_seconds on the Request, not here), under which a
+  /// clamped to the tenant's server-side cap at submit(); the refine cancel
+  /// token is replaced by the request's own, armed with its end-to-end
+  /// budget (set deadline_seconds on the Request), under which a
   /// refined request degrades to its best iterate once one exists
   /// (Response::report.refine.deadline_degraded) instead of failing.
   /// Response::report.refine carries the per-iteration trajectory.
@@ -275,9 +277,6 @@ class Server {
   std::deque<std::string> round_robin_;  // tenants with queued work, once each
   std::vector<int> free_workers_;
   std::unordered_map<std::string, Breaker> breakers_;
-  /// In-flight deadline registry: seq -> the stack-local token execute_()
-  /// is solving under, so the watchdog can cancel an over-deadline solve.
-  std::unordered_map<std::uint64_t, par::CancelToken*> inflight_;
   std::size_t queued_ = 0;
   int active_pumps_ = 0;
   bool accepting_ = true;

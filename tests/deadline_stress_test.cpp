@@ -2,8 +2,9 @@
 // service (DESIGN.md §13).  These suites run under both sanitizer presets
 // in CI (the asan preset runs everything; the tsan preset's filter includes
 // Deadline* and Breaker*): queued requests whose budget expires are shed
-// before occupying a worker, in-flight expiry fails the future but leaves
-// the cached plan reusable (the next solve is bitwise right), transient
+// before occupying a worker, in-flight expiry — stopped by the request's
+// own token, not the watchdog — fails the future but leaves the cached
+// plan reusable (the next solve is bitwise right), transient
 // failures retry with backoff inside the budget, breakers walk
 // closed -> open -> half-open -> closed, and a storm of deadline-bound
 // submissions racing drain/shutdown settles every future with the
@@ -145,6 +146,11 @@ TEST(DeadlineStress, InFlightExpiryLeavesTheCachedPlanBitwiseReusable) {
   ServerOptions opts;
   opts.workers = 1;
   opts.breaker_failure_threshold = 0;  // isolate the deadline path
+#ifdef PHMSE_FAULT_INJECTION
+  // No watchdog tick lands inside the stall below: the request's own token
+  // must stop the solve at the next poll, with nothing cancelling it.
+  opts.watchdog_interval_seconds = 10.0;
+#endif
   Server server(opts);
   (void)server.submit("t", f.request(1)).get();  // warm the cached plan
 

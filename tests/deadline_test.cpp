@@ -56,24 +56,18 @@ TEST(CancelToken, DeadlineClockExpires) {
   EXPECT_LT(token.remaining_seconds(), 0.0);
   token.reset();
   EXPECT_FALSE(token.expired());
-}
-
-TEST(CancelToken, LinkObservesUpstream) {
-  par::CancelToken upstream;
-  par::CancelToken token;
-  token.link(&upstream);
-  EXPECT_FALSE(token.stop_requested());
-  upstream.cancel();
-  EXPECT_TRUE(token.cancel_requested());
-  // reset() clears only local state; the upstream link survives.
-  token.reset();
-  EXPECT_TRUE(token.stop_requested());
-  upstream.reset();
-  upstream.set_deadline_after(-1.0);
-  EXPECT_TRUE(token.expired());
-  EXPECT_LT(token.remaining_seconds(), 0.0);
-  token.link(nullptr);
-  EXPECT_FALSE(token.stop_requested());
+  // A budget past the steady clock's range arms no deadline at all; it
+  // must not wrap around into the past and expire at once.
+  for (const double huge : {1e10, 1e300,
+                            std::numeric_limits<double>::infinity()}) {
+    token.set_deadline_after(-1.0);
+    token.set_deadline_after(huge);
+    EXPECT_FALSE(token.expired()) << huge;
+    EXPECT_FALSE(token.stop_requested()) << huge;
+    EXPECT_EQ(token.remaining_seconds(),
+              std::numeric_limits<double>::infinity())
+        << huge;
+  }
 }
 
 TEST(CancelToken, ThrowCancelledCarriesLocation) {
@@ -130,8 +124,10 @@ struct Fixture {
 TEST(Deadline, SpentBudgetShedsBeforeTheSolveStarts) {
   Fixture f;
   engine::Plan plan = Engine::compile(f.problem(), Fixture::options());
+  par::CancelToken token;
+  token.set_deadline_after(1e-12);  // expires before the pre-check runs
   engine::SolveOptions controls;
-  controls.deadline_seconds = 1e-12;  // expires before the pre-check runs
+  controls.cancel = &token;
   std::this_thread::sleep_for(std::chrono::microseconds(10));
   EXPECT_THROW((void)plan.solve(f.initial, controls), engine::DeadlineError);
   // Shedding happened before any state was touched: the plain solve works.
@@ -172,8 +168,10 @@ TEST(Deadline, SerialPostCancelSolveIsBitwiseIdentical) {
   const engine::Result want = ref.solve(f.initial);
 
   engine::Plan plan = Engine::compile(f.problem(), Fixture::options());
+  par::CancelToken token;
+  token.set_deadline_after(std::max(want.seconds * 0.1, 1e-5));
   engine::SolveOptions controls;
-  controls.deadline_seconds = std::max(want.seconds * 0.1, 1e-5);
+  controls.cancel = &token;
   bool cancelled = false;
   try {
     (void)plan.solve(f.initial, controls);
@@ -197,8 +195,10 @@ TEST(Deadline, ThreadedPostCancelSolveIsBitwiseIdentical) {
   const engine::Result want = ref.solve(pool, f.initial);
 
   engine::Plan plan = Engine::compile(f.problem(), Fixture::options());
+  par::CancelToken token;
+  token.set_deadline_after(std::max(want.seconds * 0.1, 1e-5));
   engine::SolveOptions controls;
-  controls.deadline_seconds = std::max(want.seconds * 0.1, 1e-5);
+  controls.cancel = &token;
   try {
     (void)plan.solve(pool, f.initial, controls);
   } catch (const engine::DeadlineError&) {
@@ -215,11 +215,13 @@ TEST(Deadline, SimulatedPostCancelSolveIsBitwiseIdentical) {
   const engine::Result want = ref.solve(m1, f.initial);
 
   engine::Plan plan = Engine::compile(f.problem(), Fixture::options());
-  engine::SolveOptions controls;
   // The deadline clock is wall-clock even under the simulated executor
   // (the simulation itself takes real time to run).
-  controls.deadline_seconds = std::max(want.seconds * 0.1, 1e-5);
   simarch::SimMachine m2(simarch::generic(4));
+  par::CancelToken token;
+  token.set_deadline_after(std::max(want.seconds * 0.1, 1e-5));
+  engine::SolveOptions controls;
+  controls.cancel = &token;
   try {
     (void)plan.solve(m2, f.initial, controls);
   } catch (const engine::DeadlineError&) {
@@ -246,8 +248,10 @@ TEST(Deadline, DegradeLowrankAnswersUnderATightDeadline) {
   values[0] += 1e-3;
   plan.set_observations(values);
 
+  par::CancelToken token;
+  token.set_deadline_after(std::max(warm.seconds * 0.5, 1e-6));
   engine::SolveOptions controls;
-  controls.deadline_seconds = std::max(warm.seconds * 0.5, 1e-6);
+  controls.cancel = &token;
   controls.degrade_lowrank = true;
   const engine::Result degraded = plan.solve_incremental(f.initial, controls);
   EXPECT_TRUE(degraded.report.low_rank);
@@ -256,8 +260,10 @@ TEST(Deadline, DegradeLowrankAnswersUnderATightDeadline) {
   // problem size may or may not make it — both outcomes are legal; what
   // must hold is that low_rank is never silently chosen).
   plan.set_observations(values);
+  par::CancelToken exact_token;
+  exact_token.set_deadline_after(30.0);
   engine::SolveOptions exact_controls;
-  exact_controls.deadline_seconds = 30.0;
+  exact_controls.cancel = &exact_token;
   const engine::Result exact = plan.solve_incremental(f.initial,
                                                       exact_controls);
   EXPECT_FALSE(exact.report.low_rank);
@@ -325,6 +331,18 @@ TEST(Deadline, ServerResponseCarriesQueueTimeAndAttempts) {
   const service::ServerStats s = server.stats();
   EXPECT_EQ(s.completed, 1);
   EXPECT_EQ(s.expired, 0);
+
+  // A budget past the steady clock's range is unbounded, not one that
+  // wrapped into the past and is shed as expired while queued.
+  service::Request huge;
+  huge.problem = f.problem();
+  huge.compile = Fixture::options();
+  huge.initial = f.initial;
+  huge.deadline_seconds = 1e10;
+  EXPECT_NO_THROW((void)server.submit("t", std::move(huge)).get());
+  const service::ServerStats s2 = server.stats();
+  EXPECT_EQ(s2.completed, 2);
+  EXPECT_EQ(s2.expired, 0);
 }
 
 #ifdef PHMSE_FAULT_INJECTION
@@ -347,8 +365,10 @@ TEST_F(DeadlineFault, StallMakesMidFlightExpiryDeterministic) {
   // 20ms deadline is over when the post-stall poll looks at the clock.
   fault::Injector::instance().arm(
       {fault::Kind::kStall, -1, -1, -1, 0.08, /*max_fires=*/1});
+  par::CancelToken token;
+  token.set_deadline_after(0.02);
   engine::SolveOptions controls;
-  controls.deadline_seconds = 0.02;
+  controls.cancel = &token;
   EXPECT_THROW((void)plan.solve(f.initial, controls), engine::DeadlineError);
   EXPECT_TRUE(plan.last_report().cancelled);
   EXPECT_TRUE(plan.last_report().cancelled_by_deadline);
@@ -394,8 +414,10 @@ TEST_F(DeadlineFault, StalledThreadedAndSimRunsStayBitwiseAfterCancel) {
   engine::Plan plan = Engine::compile(f.problem(), Fixture::options());
   fault::Injector::instance().arm(
       {fault::Kind::kStall, -1, -1, -1, 0.08, /*max_fires=*/1});
+  par::CancelToken token;
+  token.set_deadline_after(0.02);
   engine::SolveOptions controls;
-  controls.deadline_seconds = 0.02;
+  controls.cancel = &token;
   EXPECT_THROW((void)plan.solve(pool, f.initial, controls),
                engine::DeadlineError);
   fault::Injector::instance().clear();
@@ -406,6 +428,7 @@ TEST_F(DeadlineFault, StalledThreadedAndSimRunsStayBitwiseAfterCancel) {
   fault::Injector::instance().arm(
       {fault::Kind::kStall, -1, -1, -1, 0.08, /*max_fires=*/1});
   simarch::SimMachine m1(simarch::generic(4));
+  token.set_deadline_after(0.02);  // the same budget, from this call
   EXPECT_THROW((void)splan.solve(m1, f.initial, controls),
                engine::DeadlineError);
   fault::Injector::instance().clear();

@@ -109,17 +109,18 @@ struct Fixture {
 
 /// Runs `plan` once on the named executor.
 PlanRunStats run_on(SolvePlan& plan, Exec exec, const linalg::Vector& x0,
-                    par::ThreadPool& pool) {
+                    par::ThreadPool& pool,
+                    const par::CancelToken* cancel = nullptr) {
   switch (exec) {
     case Exec::kSerial: {
       par::SerialContext ctx;
-      return plan.run(ctx, x0);
+      return plan.run(ctx, x0, /*incremental=*/false, cancel);
     }
     case Exec::kThreaded:
-      return plan.run(pool, x0);
+      return plan.run(pool, x0, /*incremental=*/false, cancel);
     case Exec::kSimulated: {
       simarch::SimMachine machine(simarch::generic(kProcessors));
-      return plan.run(machine, x0);
+      return plan.run(machine, x0, /*incremental=*/false, cancel);
     }
   }
   return {};
@@ -243,17 +244,16 @@ TEST(ExecutorMatrix, CancelledBeforeStartThrowsAndLeavesThePlanClean) {
         SolvePlan plan(h, opts);
         par::CancelToken token;
         token.cancel();
-        plan.bind_cancel(&token);
         if (exec == Exec::kThreaded && sched == Sched::kWave) {
-          EXPECT_THROW(run_on(plan, exec, f.initial, pool), Error);
+          EXPECT_THROW(run_on(plan, exec, f.initial, pool, &token), Error);
           continue;
         }
-        EXPECT_THROW(run_on(plan, exec, f.initial, pool), par::CancelledError);
+        EXPECT_THROW(run_on(plan, exec, f.initial, pool, &token),
+                     par::CancelledError);
         EXPECT_TRUE(plan.last_report().cancelled);
         EXPECT_EQ(plan.last_report().batches, 0);
         EXPECT_FALSE(plan.has_checkpoint());
 
-        plan.bind_cancel(nullptr);
         run_on(plan, exec, f.initial, pool);
         EXPECT_EQ(plan.root_state().x, ref.state->x);
         EXPECT_EQ(plan.root_state().c, ref.state->c);

@@ -3,6 +3,9 @@
 // problems, checking the headline qualitative claims.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "constraints/helix_gen.hpp"
 #include "constraints/ribo_gen.hpp"
 #include "core/assign.hpp"
@@ -57,21 +60,35 @@ TEST(Integration, HierarchicalIsFasterThanFlatPerCycle) {
     const cons::ConstraintSet set = cons::generate_helix_constraints(model);
     const linalg::Vector x0 = perturbed(model.topology, 0.3, 2);
 
-    Stopwatch sw;
-    Hierarchy h = build_helix_hierarchy(model);
-    assign_constraints(h, set);
-    estimate_work(h, WorkModel{}, 16);
-    assign_processors(h, 1);
-    par::SerialContext ctx1;
-    SolvePlan(h, HierSolveOptions{}).run(ctx1, x0);
-    const double t_hier = sw.seconds();
-
-    sw.reset();
-    Hierarchy flat = build_flat_hierarchy(model.num_atoms());
-    assign_constraints(flat, set);
-    par::SerialContext ctx2;
-    SolvePlan(flat, HierSolveOptions{}).run(ctx2, x0);
-    const double t_flat = sw.seconds();
+    const auto time_hier = [&] {
+      Stopwatch sw;
+      Hierarchy h = build_helix_hierarchy(model);
+      assign_constraints(h, set);
+      estimate_work(h, WorkModel{}, 16);
+      assign_processors(h, 1);
+      par::SerialContext ctx;
+      SolvePlan(h, HierSolveOptions{}).run(ctx, x0);
+      return sw.seconds();
+    };
+    const auto time_flat = [&] {
+      Stopwatch sw;
+      Hierarchy flat = build_flat_hierarchy(model.num_atoms());
+      assign_constraints(flat, set);
+      par::SerialContext ctx;
+      SolvePlan(flat, HierSolveOptions{}).run(ctx, x0);
+      return sw.seconds();
+    };
+    // One untimed run per side first, so neither side pays the process's
+    // cold start; then each side's best of 5 interleaved runs, so a burst
+    // of host load hits both sides rather than one.
+    (void)time_hier();
+    (void)time_flat();
+    double t_hier = std::numeric_limits<double>::infinity();
+    double t_flat = std::numeric_limits<double>::infinity();
+    for (int rep = 0; rep < 5; ++rep) {
+      t_hier = std::min(t_hier, time_hier());
+      t_flat = std::min(t_flat, time_flat());
+    }
     return std::pair<double, double>{t_hier, t_flat};
   };
 

@@ -270,9 +270,10 @@ TEST(Refine, DeadlineDegradesToBestIterateOnceOneExists) {
   }
 
   // A budget already spent before the first iterate throws like a solve.
+  par::CancelToken spent;
+  spent.set_deadline_after(1e-9);
   RefineOptions tight = o;
-  tight.cancel = nullptr;
-  tight.deadline_seconds = 1e-9;
+  tight.cancel = &spent;
   Refiner hopeless(plan, tight);
   EXPECT_THROW(hopeless.refine(x0), engine::DeadlineError);
 }
