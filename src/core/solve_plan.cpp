@@ -20,27 +20,6 @@ namespace {
 using est::NodeState;
 using linalg::Vector;
 
-// Binds a cancel token onto a context for the duration of a run, restoring
-// whatever the caller had bound.  A null token leaves the context alone, so
-// callers that bound their own token directly keep it.
-class ScopedCancelBind {
- public:
-  ScopedCancelBind(par::ExecContext& ctx, const par::CancelToken* token)
-      : ctx_(token != nullptr ? &ctx : nullptr),
-        prev_(token != nullptr ? ctx.cancel_token() : nullptr) {
-    if (ctx_ != nullptr) ctx_->bind_cancel_token(token);
-  }
-  ~ScopedCancelBind() {
-    if (ctx_ != nullptr) ctx_->bind_cancel_token(prev_);
-  }
-  ScopedCancelBind(const ScopedCancelBind&) = delete;
-  ScopedCancelBind& operator=(const ScopedCancelBind&) = delete;
-
- private:
-  par::ExecContext* ctx_;
-  const par::CancelToken* prev_;
-};
-
 double rms_delta(const Vector& a, const Vector& b) {
   PHMSE_CHECK(a.size() == b.size(), "state dimension changed between cycles");
   if (a.empty()) return 0.0;
@@ -296,14 +275,14 @@ void SolvePlan::assemble_dirty_children_(par::ExecContext& ctx, NodeWork& w) {
 // w.sweep_report so an incremental run can later replay it for a skipped
 // node; it is folded into the run tally w.report immediately.
 void SolvePlan::update_node_(par::ExecContext& ctx, NodeWork& w,
+                             const par::CancelToken* cancel,
                              const Vector& x0) {
   HierNode& node = *w.node;
   // Node-boundary cancellation poll (DESIGN.md §13): abort before this
-  // node's state is touched.  The batch sweep below polls again between
-  // batches through the same context binding.
-  if (ctx.cancel_pending()) {
-    par::throw_cancelled(*ctx.cancel_token(), node.atom_begin, node.atom_end,
-                         -1);
+  // node's state is touched.  The batch sweep below polls the same token
+  // between batches.
+  if (cancel != nullptr && cancel->stop_requested()) {
+    par::throw_cancelled(*cancel, node.atom_begin, node.atom_end, -1);
   }
   if (node.is_leaf()) {
     est::fill_state_from_full(w.state, x0, node.atom_begin, node.atom_end,
@@ -315,7 +294,7 @@ void SolvePlan::update_node_(par::ExecContext& ctx, NodeWork& w,
   }
   w.sweep_report.clear();
   w.updater.apply_all(ctx, w.state, node.constraints, options_.batch_size,
-                      options_.policy, &w.sweep_report);
+                      options_.policy, &w.sweep_report, cancel);
   w.report.merge_from(w.sweep_report);
 }
 
@@ -569,7 +548,7 @@ void SolvePlan::run_nodes_(par::ExecContext* ctx, simarch::SimMachine* machine,
     // simulated timeline reflects only the dirty path's work.
     if (cycle_incremental_ && !exec_[i]) continue;
     if (machine == nullptr) {
-      update_node_(*ctx, w, x0);
+      update_node_(*ctx, w, cancel, x0);
       continue;
     }
     // Wave schedule (paper §5): every processor resynchronizes globally
@@ -587,8 +566,7 @@ void SolvePlan::run_nodes_(par::ExecContext* ctx, simarch::SimMachine* machine,
     // The simulated clock is virtual but the deadline clock is real: polls
     // read the host's steady clock, so a wall-clock budget bounds a
     // simulated solve exactly like a real one.
-    sim.bind_cancel_token(cancel);
-    update_node_(sim, w, x0);
+    update_node_(sim, w, cancel, x0);
   }
 }
 
@@ -643,8 +621,7 @@ void SolvePlan::run_threaded_node_(par::ThreadPool& pool, std::size_t index,
   group.rethrow_any();
 
   par::TeamContext ctx(pool, w.node->proc_first, w.node->proc_count);
-  ctx.bind_cancel_token(cancel);
-  update_node_(ctx, w, x0);
+  update_node_(ctx, w, cancel, x0);
   w.profile += ctx.profile();
 }
 
@@ -687,7 +664,6 @@ PlanRunStats SolvePlan::run(Executor exec, const Vector& initial_x,
     return stats;
   }
   par::ExecContext& ctx = *exec.context();
-  const ScopedCancelBind bind(ctx, cancel);
   const perf::Profile before = ctx.profile();
   PlanRunStats stats = run_cycles_(
       initial_x, incremental,

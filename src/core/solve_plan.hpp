@@ -41,6 +41,7 @@
 #include "estimation/policy.hpp"
 #include "estimation/state.hpp"
 #include "estimation/update.hpp"
+#include "parallel/cancel.hpp"
 #include "parallel/exec.hpp"
 #include "parallel/thread_pool.hpp"
 #include "simarch/sim_context.hpp"
@@ -187,10 +188,10 @@ class SolvePlan {
   /// posterior and the report are bitwise identical to a full run.
   ///
   /// Cancellation (DESIGN.md §13): every executor polls `cancel` (null =
-  /// none, which leaves a caller context's own bound token in force; it
-  /// must outlive the run) — the passes at node boundaries, the batch
-  /// sweep between batches, and the threaded recursion's task groups
-  /// before entering queued subtree tasks.  A poll that observes the stop
+  /// none; it must outlive the run) — the passes at node boundaries,
+  /// BatchUpdater::apply_all (its last argument) between batches, and the
+  /// threaded recursion's task groups before entering queued subtree
+  /// tasks, which bind it themselves.  A poll that observes the stop
   /// throws par::CancelledError out of the run — after every lane has
   /// joined — and the abort is transactional by construction: the
   /// checkpoint was already invalidated at run start and the dirty marks
@@ -276,9 +277,6 @@ class SolvePlan {
   /// The root posterior of the most recent run.
   const est::NodeState& root_state() const { return nodes_.back().state; }
 
-  /// Moves the root posterior out (for callers that outlive the plan).
-  est::NodeState take_root_state() { return std::move(nodes_.back().state); }
-
   /// Fault-tolerance diagnostics of the most recent run (any executor):
   /// every node's batch tally aggregated after the executor has joined.
   /// With the default abort policy a completed run is always clean() — a
@@ -323,7 +321,7 @@ class SolvePlan {
   void assemble_from_children_(par::ExecContext& ctx, NodeWork& w);
   void assemble_dirty_children_(par::ExecContext& ctx, NodeWork& w);
   void update_node_(par::ExecContext& ctx, NodeWork& w,
-                    const linalg::Vector& x0);
+                    const par::CancelToken* cancel, const linalg::Vector& x0);
   void run_nodes_(par::ExecContext* ctx, simarch::SimMachine* machine,
                   const par::CancelToken* cancel, const linalg::Vector& x0);
   void run_threaded_node_(par::ThreadPool& pool, std::size_t index,

@@ -37,6 +37,7 @@
 #include "core/hierarchy.hpp"
 #include "core/solve_plan.hpp"
 #include "core/work_model.hpp"
+#include "parallel/cancel.hpp"
 #include "parallel/exec.hpp"
 #include "parallel/thread_pool.hpp"
 #include "simarch/sim_context.hpp"

@@ -369,7 +369,8 @@ void BatchUpdater::reserve(Index max_m, Index n) {
 
 void BatchUpdater::apply_all(par::ExecContext& ctx, NodeState& state,
                              const cons::ConstraintSet& set, Index batch_size,
-                             const SolvePolicy& policy, NodeReport* report) {
+                             const SolvePolicy& policy, NodeReport* report,
+                             const par::CancelToken* cancel) {
   PHMSE_CHECK(batch_size >= 1, "batch size must be >= 1");
   const auto& all = set.all();
   // (Re)size the applied-Jacobian archive for this set; the sizes are
@@ -394,9 +395,9 @@ void BatchUpdater::apply_all(par::ExecContext& ctx, NodeState& state,
       // the state holds only complete per-batch commits (apply is
       // transactional), so this is the finest point where an abort cannot
       // tear anything.
-      if (ctx.cancel_pending()) {
-        par::throw_cancelled(*ctx.cancel_token(), state.atom_begin,
-                             state.atom_end, applied_batches);
+      if (cancel != nullptr && cancel->stop_requested()) {
+        par::throw_cancelled(*cancel, state.atom_begin, state.atom_end,
+                             applied_batches);
       }
       const Index len = std::min(batch_size, set.size() - start);
       const Sweep sweep = delay         ? Sweep::kDelayed

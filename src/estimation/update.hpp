@@ -48,6 +48,7 @@
 #include "estimation/policy.hpp"
 #include "estimation/state.hpp"
 #include "linalg/csr.hpp"
+#include "parallel/cancel.hpp"
 #include "parallel/exec.hpp"
 
 namespace phmse::linalg {
@@ -109,11 +110,14 @@ class BatchUpdater {
   /// so every committed batch stays applied and C leaves bitwise symmetric
   /// whenever it entered so.  Failed batches are handled per `policy`;
   /// when `report` is non-null every batch outcome is tallied into it
-  /// (non-ok outcomes individually).
+  /// (non-ok outcomes individually).  A non-null `cancel` is polled before
+  /// each batch (DESIGN.md §13): a stop throws par::CancelledError there,
+  /// with every earlier batch committed.
   void apply_all(par::ExecContext& ctx, NodeState& state,
                  const cons::ConstraintSet& set, Index batch_size,
                  const SolvePolicy& policy = {},
-                 NodeReport* report = nullptr);
+                 NodeReport* report = nullptr,
+                 const par::CancelToken* cancel = nullptr);
 
   /// Upper bound on one scalar constraint's Jacobian-row nonzeros (4 atoms
   /// x 3 coordinates; the widest kind is a torsion).

@@ -3,9 +3,10 @@
 // A CancelToken is one atomic flag plus one deadline clock.  Whoever owns
 // the solve arms it — an explicit cancel() from another thread, a deadline
 // set from a per-request budget, or both — and passes it down unchanged
-// (Plan::solve's SolveOptions::cancel, SolvePlan::run's last argument);
-// the executors poll it at the natural transaction boundaries of the
-// hierarchical solve (batch and node boundaries; see core::SolvePlan).
+// (Plan::solve's SolveOptions::cancel, then the last argument of
+// SolvePlan::run and of BatchUpdater::apply_all); the solve polls it at the
+// natural transaction boundaries of the hierarchical update (node and
+// batch boundaries; see core::SolvePlan).
 // Polling is wait-free and costs one relaxed atomic load when no deadline
 // is set; the deadline check adds one steady_clock read.
 //

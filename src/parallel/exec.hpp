@@ -24,7 +24,6 @@
 #include <memory>
 #include <type_traits>
 
-#include "parallel/cancel.hpp"
 #include "perf/category.hpp"
 #include "perf/profile.hpp"
 #include "support/types.hpp"
@@ -120,6 +119,10 @@ using SectionFn = FunctionRef<void()>;
 /// body failure this way remains fully usable for subsequent kernels.
 /// Kernels written against ExecContext therefore need no try/catch of their
 /// own to be exception-transparent.
+///
+/// A context carries no cancellation state: the plan walk and the batch
+/// sweep take the caller's par::CancelToken as an argument and poll it
+/// between kernels (DESIGN.md §13).
 class ExecContext {
  public:
   virtual ~ExecContext() = default;
@@ -143,24 +146,6 @@ class ExecContext {
   /// contexts this is the critical-path view: each kernel contributes the
   /// largest per-lane time.
   virtual const perf::Profile& profile() const = 0;
-
-  /// Cooperative cancellation (DESIGN.md §13).  Binding a token does not
-  /// interrupt anything by itself: kernels written against ExecContext poll
-  /// cancel_pending() at their transaction boundaries and throw through
-  /// par::throw_cancelled, which propagates like any other body exception
-  /// (all lanes joined, rethrown on the caller).  Null detaches.  Binding
-  /// belongs to whoever orchestrates the solve, between kernels.
-  void bind_cancel_token(const CancelToken* token) { cancel_ = token; }
-  const CancelToken* cancel_token() const { return cancel_; }
-
-  /// True when a bound token requests a stop.  One null check when no token
-  /// is bound — cheap enough for per-batch polling.
-  bool cancel_pending() const {
-    return cancel_ != nullptr && cancel_->stop_requested();
-  }
-
- private:
-  const CancelToken* cancel_ = nullptr;
 };
 
 /// Sequential execution with real wall-clock category timing.
@@ -177,8 +162,6 @@ class SerialContext final : public ExecContext {
                   const SectionFn& body) override;
 
   const perf::Profile& profile() const override { return profile_; }
-
-  void clear_profile() { profile_.clear(); }
 
  private:
   perf::Profile profile_;

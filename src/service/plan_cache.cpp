@@ -1,19 +1,17 @@
 #include "service/plan_cache.hpp"
 
+#include <algorithm>
 #include <utility>
 
 namespace phmse::service {
 
-PlanLease::PlanLease(PlanCache* cache, Fingerprint fingerprint,
-                     engine::Plan plan, bool hit)
-    : cache_(cache),
-      fingerprint_(std::move(fingerprint)),
-      plan_(std::move(plan)),
-      hit_(hit) {}
+PlanLease::PlanLease(PlanCache* cache, PlanCache::EntryIt entry,
+                     std::optional<engine::Plan> plan, bool hit)
+    : cache_(cache), entry_(entry), plan_(std::move(plan)), hit_(hit) {}
 
 PlanLease::PlanLease(PlanLease&& other) noexcept
     : cache_(std::exchange(other.cache_, nullptr)),
-      fingerprint_(std::move(other.fingerprint_)),
+      entry_(other.entry_),
       plan_(std::move(other.plan_)),
       hit_(other.hit_) {
   other.plan_.reset();
@@ -21,11 +19,9 @@ PlanLease::PlanLease(PlanLease&& other) noexcept
 
 PlanLease& PlanLease::operator=(PlanLease&& other) noexcept {
   if (this != &other) {
-    if (cache_ != nullptr && plan_.has_value()) {
-      cache_->release_(fingerprint_, std::move(*plan_));
-    }
+    if (cache_ != nullptr) cache_->release_(entry_, std::move(plan_));
     cache_ = std::exchange(other.cache_, nullptr);
-    fingerprint_ = std::move(other.fingerprint_);
+    entry_ = other.entry_;
     plan_ = std::move(other.plan_);
     other.plan_.reset();
     hit_ = other.hit_;
@@ -34,9 +30,7 @@ PlanLease& PlanLease::operator=(PlanLease&& other) noexcept {
 }
 
 PlanLease::~PlanLease() {
-  if (cache_ != nullptr && plan_.has_value()) {
-    cache_->release_(fingerprint_, std::move(*plan_));
-  }
+  if (cache_ != nullptr) cache_->release_(entry_, std::move(plan_));
 }
 
 PlanCache::PlanCache(std::size_t capacity) : capacity_(capacity) {}
@@ -49,65 +43,61 @@ PlanLease PlanCache::acquire(const engine::Problem& problem,
       const std::lock_guard<std::mutex> lock(mutex_);
       ++uncacheable_;
     }
-    return PlanLease(nullptr, std::move(fp), Engine::compile(problem, options),
+    return PlanLease(nullptr, {}, Engine::compile(problem, options),
                      /*hit=*/false);
   }
 
+  EntryIt entry;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-      if (it->fingerprint != fp) continue;
-      entries_.splice(entries_.begin(), entries_, it);  // touch MRU
-      if (!it->idle.empty()) {
-        engine::Plan plan = std::move(it->idle.back());
-        it->idle.pop_back();
-        --idle_instances_;
-        ++hits_;
-        return PlanLease(this, std::move(fp), std::move(plan), /*hit=*/true);
-      }
-      break;  // every instance is in flight: compile another arena
+    entry = std::find_if(entries_.begin(), entries_.end(),
+                         [&](const Entry& e) { return e.fingerprint == fp; });
+    if (entry == entries_.end()) {
+      entry = entries_.insert(entries_.begin(), Entry{std::move(fp), {}, 0});
+    } else {
+      entries_.splice(entries_.begin(), entries_, entry);  // touch MRU
     }
-    ++misses_;
+    ++entry->leases;
+    if (!entry->idle.empty()) {
+      engine::Plan plan = std::move(entry->idle.back());
+      entry->idle.pop_back();
+      --idle_instances_;
+      ++hits_;
+      return PlanLease(this, entry, std::move(plan), /*hit=*/true);
+    }
+    ++misses_;  // every instance is in flight, or none exists yet
   }
   // Compile outside the lock: a miss on one fingerprint must not stall
-  // concurrent hits on others.
-  return PlanLease(this, std::move(fp), Engine::compile(problem, options),
-                   /*hit=*/false);
+  // concurrent hits on others.  Should the compile throw, the lease gives
+  // back only its count.
+  PlanLease lease(this, entry, std::nullopt, /*hit=*/false);
+  lease.plan_.emplace(Engine::compile(problem, options));
+  return lease;
 }
 
-void PlanCache::release_(const Fingerprint& fingerprint, engine::Plan plan) {
+void PlanCache::release_(EntryIt entry, std::optional<engine::Plan> plan) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    if (it->fingerprint == fingerprint) {
-      entries_.splice(entries_.begin(), entries_, it);
-      it->idle.push_back(std::move(plan));
-      ++idle_instances_;
-      evict_to_capacity_();
-      return;
-    }
+  --entry->leases;
+  if (plan.has_value()) {
+    entries_.splice(entries_.begin(), entries_, entry);
+    entry->idle.push_back(std::move(*plan));
+    ++idle_instances_;
+    evict_to_capacity_();
+  } else if (entry->idle.empty() && entry->leases == 0) {
+    entries_.erase(entry);
   }
-  Entry entry;
-  entry.fingerprint = fingerprint;
-  entry.idle.push_back(std::move(plan));
-  entries_.push_front(std::move(entry));
-  ++idle_instances_;
-  evict_to_capacity_();
 }
 
 void PlanCache::evict_to_capacity_() {
-  while (idle_instances_ > capacity_ && !entries_.empty()) {
-    Entry& lru = entries_.back();
-    if (lru.idle.empty()) {
-      // All instances of the coldest entry are in flight; nothing idle to
-      // drop there.  Leases re-create entries on release, so simply
-      // forgetting the empty shell is safe.
-      entries_.pop_back();
-      continue;
+  for (auto it = entries_.end();
+       idle_instances_ > capacity_ && it != entries_.begin();) {
+    --it;
+    while (!it->idle.empty() && idle_instances_ > capacity_) {
+      it->idle.pop_back();
+      --idle_instances_;
+      ++evictions_;
     }
-    lru.idle.pop_back();
-    --idle_instances_;
-    ++evictions_;
-    if (lru.idle.empty()) entries_.pop_back();
+    if (it->idle.empty() && it->leases == 0) it = entries_.erase(it);
   }
 }
 
@@ -125,10 +115,11 @@ PlanCache::Stats PlanCache::stats() const {
 
 void PlanCache::clear() {
   const std::lock_guard<std::mutex> lock(mutex_);
-  for (Entry& e : entries_) {
-    evictions_ += static_cast<long>(e.idle.size());
+  for (auto it = entries_.begin(); it != entries_.end();) {
+    evictions_ += static_cast<long>(it->idle.size());
+    it->idle.clear();
+    it = it->leases == 0 ? entries_.erase(it) : std::next(it);
   }
-  entries_.clear();
   idle_instances_ = 0;
 }
 

@@ -17,9 +17,7 @@ static double elapsed_seconds(std::chrono::steady_clock::time_point from,
 }
 
 Server::Server(const ServerOptions& options)
-    : options_(options),
-      cache_(options.plan_cache_capacity),
-      pool_(options.workers) {
+    : options_(options), cache_(options.plan_cache_capacity) {
   PHMSE_CHECK(options.workers >= 1, "Server needs at least one worker");
   PHMSE_CHECK(options.max_pending >= 1 && options.max_pending_per_tenant >= 1,
               "Server admission bounds must be >= 1");
@@ -37,9 +35,16 @@ Server::Server(const ServerOptions& options)
     PHMSE_CHECK(cap >= 1, "Server refine iteration cap for tenant '" + tenant +
                               "' must be >= 1");
   }
-  free_workers_.reserve(static_cast<std::size_t>(options.workers));
-  for (int w = options.workers - 1; w >= 0; --w) free_workers_.push_back(w);
-  watchdog_ = std::thread([this] { watchdog_loop_(); });
+  workers_.reserve(static_cast<std::size_t>(options.workers));
+  try {
+    for (int w = 0; w < options.workers; ++w) {
+      workers_.emplace_back([this] { work_(); });
+    }
+    watchdog_ = std::thread([this] { watchdog_loop_(); });
+  } catch (...) {
+    shutdown();  // joins the threads that did start
+    throw;
+  }
 }
 
 Server::~Server() { shutdown(/*drain_queued=*/true); }
@@ -186,41 +191,9 @@ std::future<Response> Server::submit(const std::string& tenant,
     queue.push_back(std::move(job));
     ++queued_;
     ++submitted_;
-    arm_pumps_();
   }
+  work_cv_.notify_one();
   return future;
-}
-
-void Server::arm_pumps_() {
-  while (!round_robin_.empty() && !free_workers_.empty()) {
-    const int worker = free_workers_.back();
-    try {
-      pool_.submit(worker, [this, worker] { pump_(worker); });
-    } catch (const Error&) {
-      // The pool refused the task (teardown race).  The queued jobs must
-      // not be abandoned: fail them all with the distinct shutdown error.
-      for (const std::string& tenant : round_robin_) {
-        std::deque<Job>& queue = tenants_[tenant];
-        for (Job& job : queue) {
-          if (job.probe) {
-            Breaker& b = breakers_[job.tenant];
-            b.probe_in_flight = false;
-            b.state = BreakerState::kOpen;
-          }
-          job.promise.set_exception(std::make_exception_ptr(ShutdownError(
-              "solve abandoned: server worker pool is shut down")));
-          ++shutdown_failed_;
-        }
-        queued_ -= queue.size();
-        queue.clear();
-      }
-      round_robin_.clear();
-      idle_cv_.notify_all();
-      return;
-    }
-    free_workers_.pop_back();
-    ++active_pumps_;
-  }
 }
 
 void Server::shed_expired_(Job& job) {
@@ -256,40 +229,37 @@ void Server::shed_expired_queued_(Clock::time_point now) {
       ++it;
     }
   }
-  if (any && queued_ == 0 && active_pumps_ == 0) idle_cv_.notify_all();
+  if (any && queued_ == 0 && busy_ == 0) idle_cv_.notify_all();
 }
 
-void Server::pump_(int worker) {
+void Server::work_() {
+  std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    Job job;
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      if (round_robin_.empty()) {
-        free_workers_.push_back(worker);
-        --active_pumps_;
-        if (queued_ == 0 && active_pumps_ == 0) idle_cv_.notify_all();
-        return;
-      }
-      // Round-robin across tenants: take the head job of the next tenant,
-      // then rotate the tenant to the back if it still has work.
-      const std::string tenant = std::move(round_robin_.front());
-      round_robin_.pop_front();
-      std::deque<Job>& queue = tenants_[tenant];
-      job = std::move(queue.front());
-      queue.pop_front();
-      --queued_;
-      if (!queue.empty()) round_robin_.push_back(tenant);
-      // Dispatch-time shedding: a request whose budget is already gone
-      // must not occupy this worker (the watchdog also sheds between
-      // dispatches; this closes the window since its last tick).
-      if (job.has_deadline && Clock::now() >= job.deadline_at) {
-        // (this pump still counts as active, so drain waiters wake when it
-        // loops back around and retires above)
-        shed_expired_(job);
-        continue;
-      }
+    work_cv_.wait(lock, [this] { return stop_ || !round_robin_.empty(); });
+    // stop_ is set only once the queue has drained and no worker is busy.
+    if (round_robin_.empty()) return;
+    // Round-robin across tenants: take the head job of the next tenant,
+    // then rotate the tenant to the back if it still has work.
+    std::string tenant = std::move(round_robin_.front());
+    round_robin_.pop_front();
+    std::deque<Job>& queue = tenants_[tenant];
+    Job job = std::move(queue.front());
+    queue.pop_front();
+    --queued_;
+    if (!queue.empty()) round_robin_.push_back(std::move(tenant));
+    // Dispatch-time shedding: a request whose budget is already gone
+    // must not occupy this worker (the watchdog also sheds between
+    // dispatches; this closes the window since its last tick).
+    if (job.has_deadline && Clock::now() >= job.deadline_at) {
+      shed_expired_(job);
+    } else {
+      ++busy_;
+      lock.unlock();
+      execute_(std::move(job));
+      lock.lock();
+      --busy_;
     }
-    execute_(job);
+    if (queued_ == 0 && busy_ == 0) idle_cv_.notify_all();
   }
 }
 
@@ -336,7 +306,7 @@ bool Server::backoff_sleep_(double seconds,
   }
 }
 
-void Server::execute_(Job& job) {
+void Server::execute_(Job job) {
   const Clock::time_point start = Clock::now();
   // The solve runs under a stack-local token carrying the request's
   // absolute deadline; the executors poll its clock at every batch and
@@ -468,27 +438,18 @@ void Server::watchdog_loop_() {
   std::unique_lock<std::mutex> lock(mutex_);
   const auto interval =
       std::chrono::duration<double>(options_.watchdog_interval_seconds);
-  while (!watchdog_stop_) {
+  while (!stop_) {
     watchdog_cv_.wait_for(lock, interval);
-    if (watchdog_stop_) return;
+    if (stop_) return;
     // Shed queued requests whose budget expired before a worker freed up:
     // they fail immediately instead of occupying a worker just to fail.
     shed_expired_queued_(Clock::now());
   }
 }
 
-void Server::stop_watchdog_() {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    watchdog_stop_ = true;
-  }
-  watchdog_cv_.notify_all();
-  if (watchdog_.joinable()) watchdog_.join();
-}
-
 void Server::drain() {
   std::unique_lock<std::mutex> lock(mutex_);
-  idle_cv_.wait(lock, [this] { return queued_ == 0 && active_pumps_ == 0; });
+  idle_cv_.wait(lock, [this] { return queued_ == 0 && busy_ == 0; });
 }
 
 void Server::shutdown(bool drain_queued) {
@@ -500,7 +461,7 @@ void Server::shutdown(bool drain_queued) {
     accepting_ = false;
     if (!drain_queued) {
       // Fail every queued-but-unstarted solve with the distinct shutdown
-      // error; in-flight solves (inside a pump) run to completion.
+      // error; in-flight solves run to completion.
       for (const std::string& tenant : round_robin_) {
         std::deque<Job>& queue = tenants_[tenant];
         for (Job& job : queue) {
@@ -517,12 +478,17 @@ void Server::shutdown(bool drain_queued) {
         queue.clear();
       }
       round_robin_.clear();
+      idle_cv_.notify_all();  // a concurrent drain() may be waiting
     }
-    idle_cv_.wait(lock,
-                  [this] { return queued_ == 0 && active_pumps_ == 0; });
+    // With accepting_ false nothing can be queued again, so once the queue
+    // is empty and no worker is busy the workers may stop.
+    idle_cv_.wait(lock, [this] { return queued_ == 0 && busy_ == 0; });
+    stop_ = true;
   }
-  pool_.shutdown();
-  stop_watchdog_();
+  work_cv_.notify_all();
+  watchdog_cv_.notify_all();
+  for (std::thread& worker : workers_) worker.join();
+  if (watchdog_.joinable()) watchdog_.join();
   shutdown_done_ = true;
 }
 

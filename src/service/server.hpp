@@ -4,18 +4,18 @@
 // and observation-independent, the solve is the steady-state cost.  At
 // service scale many tenants submit molecules from the same structural
 // family (same topology, same constraint structure, fresh measurements),
-// so the Server puts an LRU plan cache in front of Engine::compile and
-// batches the resulting independent solves across a ThreadPool:
+// so the Server puts an LRU plan cache in front of Engine::compile and runs
+// the resulting independent solves on its own worker threads:
 //
-//   * submissions are queued per tenant and dispatched round-robin across
-//     tenants, so one tenant's backlog never starves another's single
-//     request;
+//   * submissions wait in one queue, kept per tenant; each idle worker takes
+//     the head job of the next tenant round-robin, so one tenant's backlog
+//     never starves another's single request;
 //   * admission is bounded (total and per tenant): past the bound submit()
 //     throws AdmissionError instead of growing the queue without limit;
 //   * each in-flight solve leases its own plan instance from the cache
-//     (plans are single-flight), runs serially on one pool worker — cross-
+//     (plans are single-flight), runs serially on one worker — cross-
 //     problem parallelism, no worker ever blocks on another tenant's work
-//     — and returns the warm instance for the next hit;
+//     — and returns the warm instance to its cache entry for the next hit;
 //   * shutdown either drains the queue or fails every queued-but-unstarted
 //     submission with ShutdownError; a submission is never abandoned.
 //
@@ -47,7 +47,6 @@
 
 #include "engine/engine.hpp"
 #include "parallel/cancel.hpp"
-#include "parallel/thread_pool.hpp"
 #include "refine/refiner.hpp"
 #include "service/plan_cache.hpp"
 
@@ -83,7 +82,7 @@ enum class BreakerState : int {
 };
 
 struct ServerOptions {
-  /// Pool workers executing solves (>= 1).
+  /// Worker threads executing solves (>= 1).
   int workers = 2;
   /// Total idle plan instances the cache retains (see PlanCache).
   std::size_t plan_cache_capacity = 8;
@@ -186,7 +185,7 @@ struct ServerStats {
   PlanCache::Stats cache;
 };
 
-/// Multi-tenant solve service over one ThreadPool and one PlanCache.
+/// Multi-tenant solve service: one queue, `workers` threads, one PlanCache.
 class Server {
  public:
   explicit Server(const ServerOptions& options = {});
@@ -212,7 +211,7 @@ class Server {
   /// Stops accepting submissions, then either completes the queue
   /// (`drain_queued` = true) or fails every queued-but-unstarted solve
   /// with ShutdownError (false; in-flight solves still complete).  Blocks
-  /// until all work has settled and the pool has joined.  Idempotent;
+  /// until all work has settled and the workers have joined.  Idempotent;
   /// concurrent callers block until the first call finishes.
   void shutdown(bool drain_queued = true);
 
@@ -246,12 +245,10 @@ class Server {
     bool probe_in_flight = false;
   };
 
-  void pump_(int worker);
-  void execute_(Job& job);
-  /// Spawns pump tasks while work is queued and workers are free; caller
-  /// holds mutex_.  Failures to reach the pool fail the queued jobs with
-  /// ShutdownError rather than leaving them stranded.
-  void arm_pumps_();
+  /// One worker thread: takes the next tenant's head job (shedding it if
+  /// its budget is spent) and runs it, until shutdown() sets stop_.
+  void work_();
+  void execute_(Job job);
   /// Fails `job` with DeadlineError without occupying a worker; caller
   /// holds mutex_.  Counts `expired` and releases a probe reservation.
   void shed_expired_(Job& job);
@@ -265,21 +262,20 @@ class Server {
   /// or the server begins shutting down.  Returns false on early abort.
   bool backoff_sleep_(double seconds, const par::CancelToken* token) const;
   void watchdog_loop_();
-  void stop_watchdog_();
 
   ServerOptions options_;
   PlanCache cache_;
-  par::ThreadPool pool_;
 
   mutable std::mutex mutex_;
-  std::condition_variable idle_cv_;
+  std::condition_variable work_cv_;  // a job was queued, or stop_ was set
+  std::condition_variable idle_cv_;  // the queue drained and no one is busy
   std::unordered_map<std::string, std::deque<Job>> tenants_;
   std::deque<std::string> round_robin_;  // tenants with queued work, once each
-  std::vector<int> free_workers_;
   std::unordered_map<std::string, Breaker> breakers_;
   std::size_t queued_ = 0;
-  int active_pumps_ = 0;
+  int busy_ = 0;  // workers running a job
   bool accepting_ = true;
+  bool stop_ = false;  // workers and watchdog exit; set once idle
   std::uint64_t next_seq_ = 0;
 
   long submitted_ = 0;
@@ -299,8 +295,8 @@ class Server {
   /// worker gives up promptly instead of stalling the drain.
   std::atomic<bool> stopping_{false};
 
+  std::vector<std::thread> workers_;
   std::condition_variable watchdog_cv_;
-  bool watchdog_stop_ = false;  // guarded by mutex_
   std::thread watchdog_;
 
   std::mutex shutdown_mutex_;  // serializes shutdown()

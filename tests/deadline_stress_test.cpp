@@ -130,6 +130,43 @@ TEST(DeadlineStress, QueuedExpiryIsShedWithoutOccupyingAWorker) {
   EXPECT_EQ(s.submitted, settled_total(s));
 }
 
+TEST(DeadlineStress, WatchdogShedsQueuedExpiryWhileEveryWorkerIsBusy) {
+  Fixture f;
+  ServerOptions opts;
+  opts.workers = 1;
+  Server server(opts);
+
+  // The head holds the only worker for a second: its empty recipe keeps
+  // it out of the plan cache, so the decomposition's sleep runs inside
+  // the request.
+  Request slow = f.request(1);
+  slow.problem = engine::Problem::custom(
+      f.model.topology.size(), f.set,
+      [model = f.model] {
+        std::this_thread::sleep_for(std::chrono::seconds(1));
+        return core::build_helix_hierarchy(model);
+      },
+      /*recipe=*/"");
+  std::future<Response> head = server.submit("head", std::move(slow));
+  Request late = f.request(2);
+  late.deadline_seconds = 0.01;
+  std::future<Response> doomed = server.submit("late", std::move(late));
+
+  // No worker dispatches before the head finishes, so only the watchdog
+  // can settle the expired request this early.
+  ASSERT_EQ(doomed.wait_for(std::chrono::milliseconds(500)),
+            std::future_status::ready);
+  EXPECT_EQ(head.wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout);
+  EXPECT_THROW((void)doomed.get(), engine::DeadlineError);
+  EXPECT_NO_THROW((void)head.get());
+  server.drain();
+  const ServerStats s = server.stats();
+  EXPECT_EQ(s.expired, 1);
+  EXPECT_EQ(s.completed, 1);
+  EXPECT_EQ(s.submitted, settled_total(s));
+}
+
 TEST(DeadlineStress, InFlightExpiryLeavesTheCachedPlanBitwiseReusable) {
   Fixture f;
   // Reference: what the post-cancel submission must return, computed on a

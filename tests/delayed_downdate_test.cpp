@@ -473,9 +473,7 @@ class CancelAfterBatches final : public par::ExecContext {
  public:
   CancelAfterBatches(par::ExecContext& inner, par::CancelToken& token,
                      int batches)
-      : inner_(inner), token_(token), left_(batches) {
-    bind_cancel_token(&token);
-  }
+      : inner_(inner), token_(token), left_(batches) {}
   int width() const override { return inner_.width(); }
   void parallel(perf::Category cat, Index n, const par::CostFn& cost,
                 const par::BodyFn& body) override {
@@ -536,7 +534,8 @@ TEST(DelayedSweepExit, CancellationAtEveryPendingDepth) {
           states[v] = sweep.start;
           est::BatchUpdater up;
           up.set_backend(tables[v]);
-          EXPECT_THROW(up.apply_all(ctx, states[v], sweep.set, kExitBatch),
+          EXPECT_THROW(up.apply_all(ctx, states[v], sweep.set, kExitBatch,
+                                    {}, nullptr, &token),
                        par::CancelledError);
         }
         est::NodeState committed = sweep.start;

@@ -354,14 +354,13 @@ TEST(SymmetricPosterior, EverySolveEntryPointOnEveryBackend) {
 }
 
 // Forwards to another context and cancels `token` once `budget` kernels
-// have run, so a sweep stops at a deterministic batch boundary.
+// have run, so a sweep polling that token stops at a deterministic batch
+// boundary.
 class CancelAfterKernels final : public par::ExecContext {
  public:
   CancelAfterKernels(par::ExecContext& inner, par::CancelToken& token,
                      int budget)
-      : inner_(inner), token_(token), budget_(budget) {
-    bind_cancel_token(&token);
-  }
+      : inner_(inner), token_(token), budget_(budget) {}
   int width() const override { return inner_.width(); }
   void parallel(perf::Category cat, Index n, const par::CostFn& cost,
                 const par::BodyFn& body) override {
@@ -418,7 +417,8 @@ TEST(SweepExit, CancellationBetweenBatchesLeavesCSymmetric) {
     CancelAfterKernels ctx(*inner, token, 20);
     est::NodeState st = sweep.start;
     est::BatchUpdater up;
-    EXPECT_THROW(up.apply_all(ctx, st, sweep.set, 4), par::CancelledError)
+    EXPECT_THROW(up.apply_all(ctx, st, sweep.set, 4, {}, nullptr, &token),
+                 par::CancelledError)
         << exec;
     EXPECT_NE(st.c, sweep.start.c) << exec << ": no batch committed";
     EXPECT_EQ(asymmetry(st.c), "") << exec;

@@ -4,6 +4,7 @@
 // single-flight solve guard).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <future>
 #include <thread>
 #include <vector>
@@ -250,6 +251,59 @@ TEST(PlanCache, UncacheableProblemsBypassTheCache) {
   const PlanCache::Stats s = cache.stats();
   EXPECT_EQ(s.uncacheable, 1);
   EXPECT_EQ(s.entries, 0u);
+}
+
+TEST(PlanCache, FailedCompileLeavesNoEntry) {
+  Fixture f;
+  PlanCache cache(4);
+  // f.problem()'s fingerprint (same recipe and structure), but a
+  // decomposition that throws.
+  const engine::Problem broken = engine::Problem::custom(
+      f.model.topology.size(), f.set,
+      []() -> core::Hierarchy { throw Error("synthetic compile failure"); },
+      "helix/2");
+  EXPECT_THROW((void)cache.acquire(broken, Fixture::options()), Error);
+  PlanCache::Stats s = cache.stats();
+  EXPECT_EQ(s.misses, 1);
+  EXPECT_EQ(s.entries, 0u);
+  EXPECT_EQ(s.idle_instances, 0u);
+  // Beside a live lease, a failed compile gives back only its own count:
+  // the leased instance still returns to the entry and serves a hit.
+  {
+    PlanLease held = cache.acquire(f.problem(), Fixture::options());
+    EXPECT_THROW((void)cache.acquire(broken, Fixture::options()), Error);
+  }
+  s = cache.stats();
+  EXPECT_EQ(s.misses, 3);
+  EXPECT_EQ(s.entries, 1u);
+  EXPECT_EQ(s.idle_instances, 1u);
+  PlanLease again = cache.acquire(f.problem(), Fixture::options());
+  EXPECT_TRUE(again.cache_hit());
+}
+
+TEST(PlanCache, LeasedEntryOutlivesEviction) {
+  Fixture f;
+  PlanCache cache(1);
+  {
+    PlanLease held = cache.acquire(f.problem("helix/a"), Fixture::options());
+    // Other fingerprints churn through the one idle slot, and clear()
+    // drops every idle instance, while "helix/a" is checked out.
+    { PlanLease l = cache.acquire(f.problem("helix/b"), Fixture::options()); }
+    { PlanLease l = cache.acquire(f.problem("helix/c"), Fixture::options()); }
+    EXPECT_EQ(cache.stats().evictions, 1);
+    cache.clear();
+    EXPECT_EQ(cache.stats().idle_instances, 0u);
+  }
+  // The lease returned its instance to "helix/a", the one entry left.
+  PlanCache::Stats s = cache.stats();
+  EXPECT_EQ(s.evictions, 2);
+  EXPECT_EQ(s.entries, 1u);
+  EXPECT_EQ(s.idle_instances, 1u);
+  PlanLease again = cache.acquire(f.problem("helix/a"), Fixture::options());
+  EXPECT_TRUE(again.cache_hit());
+  s = cache.stats();
+  EXPECT_EQ(s.hits, 1);
+  EXPECT_EQ(s.misses, 3);
 }
 
 // ---------------------------------------------------------------------------
@@ -509,6 +563,34 @@ TEST(Server, DrainCompletesEverythingAndKeepsAccepting) {
   EXPECT_EQ(server.stats().pending, 0u);
   futures.push_back(server.submit("t0", f.request(9)));  // still accepting
   for (auto& fut : futures) fut.get();
+}
+
+TEST(Server, WorkersSolveConcurrently) {
+  Fixture f;
+  Server server(ServerOptions{.workers = 2});
+  // Uncacheable (empty recipe), so each decomposition's sleep runs inside
+  // its request: one worker alone would need over 800 ms for the pair.
+  std::vector<Request> slow;
+  for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+    Request r = f.request(seed);
+    r.problem = engine::Problem::custom(
+        f.model.topology.size(), f.set,
+        [model = f.model] {
+          std::this_thread::sleep_for(std::chrono::milliseconds(400));
+          return core::build_helix_hierarchy(model);
+        },
+        /*recipe=*/"");
+    slow.push_back(std::move(r));
+  }
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<std::future<Response>> futures;
+  for (Request& r : slow) futures.push_back(server.submit("t", std::move(r)));
+  for (auto& fut : futures) {
+    EXPECT_EQ(fut.wait_until(start + std::chrono::milliseconds(700)),
+              std::future_status::ready);
+  }
+  for (auto& fut : futures) EXPECT_NO_THROW((void)fut.get());
+  EXPECT_EQ(server.stats().completed, 2);
 }
 
 // ---------------------------------------------------------------------------
