@@ -1,9 +1,8 @@
 // Deterministic fault-injection seam for the fault-tolerance tests.
 //
-// Header-only and compiled out by default: unless the build defines
-// PHMSE_FAULT_INJECTION (CMake option of the same name; the CI presets turn
-// it on), every hook below is an empty inline function and the seam costs
-// nothing.  With the macro defined, tests arm a process-wide Injector with
+// Header-only and compiled into every build, disarmed until a test arms a
+// site: a disarmed hook costs the Injector static's guard check and one
+// acquire load of `armed_`.  Tests arm the process-wide Injector with
 // (node, batch) sites and the BatchUpdater hooks fire deterministically —
 // sites are keyed on the node's atom range and the batch ordinal, both of
 // which are identical across the serial, threaded and simulated executors,
@@ -33,20 +32,17 @@
 //                         expired deadline (DESIGN.md §13).
 #pragma once
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <limits>
+#include <mutex>
+#include <thread>
+#include <vector>
 
 #include "estimation/state.hpp"
 #include "linalg/matrix.hpp"
 #include "support/types.hpp"
-
-#ifdef PHMSE_FAULT_INJECTION
-#include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <mutex>
-#include <thread>
-#include <vector>
-#endif
 
 namespace phmse::fault {
 
@@ -72,8 +68,6 @@ struct Site {
   /// service layer's retry-with-backoff path can be exercised end to end.
   int max_fires = -1;
 };
-
-#ifdef PHMSE_FAULT_INJECTION
 
 /// Process-wide registry of armed sites.  Thread-safe: hooks fire from
 /// executor lanes; arming/clearing happens on the test thread between runs.
@@ -173,16 +167,5 @@ inline void maybe_force_non_spd(const est::NodeState& state, Index batch,
     for (Index i = 0; i < s.rows(); ++i) s(i, i) -= delta;
   }
 }
-
-#else  // !PHMSE_FAULT_INJECTION — the hooks compile to nothing.
-
-inline void maybe_poison_state(est::NodeState&, Index) {}
-inline void maybe_stall(const est::NodeState&, Index) {}
-inline void maybe_corrupt_observation(const est::NodeState&, Index,
-                                      linalg::Vector&) {}
-inline void maybe_force_non_spd(const est::NodeState&, Index,
-                                linalg::Matrix&) {}
-
-#endif  // PHMSE_FAULT_INJECTION
 
 }  // namespace phmse::fault

@@ -78,7 +78,7 @@ struct Fixture {
   }
 
   /// A problem whose compile always throws: a deterministic execute-side
-  /// failure needing no fault-injection build.  The empty recipe keeps it
+  /// failure needing no armed injector site.  The empty recipe keeps it
   /// out of the plan cache, so every attempt re-fails.
   Request failing_request(double compile_sleep_seconds = 0.0) const {
     Request r;
@@ -183,15 +183,12 @@ TEST(DeadlineStress, InFlightExpiryLeavesTheCachedPlanBitwiseReusable) {
   ServerOptions opts;
   opts.workers = 1;
   opts.breaker_failure_threshold = 0;  // isolate the deadline path
-#ifdef PHMSE_FAULT_INJECTION
   // No watchdog tick lands inside the stall below: the request's own token
   // must stop the solve at the next poll, with nothing cancelling it.
   opts.watchdog_interval_seconds = 10.0;
-#endif
   Server server(opts);
   (void)server.submit("t", f.request(1)).get();  // warm the cached plan
 
-#ifdef PHMSE_FAULT_INJECTION
   // Deterministic mid-flight expiry: stall 80ms against a 20ms budget.
   fault::Injector::instance().clear();
   fault::Injector::instance().arm(
@@ -206,16 +203,6 @@ TEST(DeadlineStress, InFlightExpiryLeavesTheCachedPlanBitwiseReusable) {
     EXPECT_EQ(s.failed, 1);
     EXPECT_EQ(s.expired, 0);  // it was running, not queued
   }
-#else
-  // Without the injector the expiry may land in-queue, in-flight, or not
-  // at all; whatever happened must not poison the cached plan.
-  Request over = f.request(3);
-  over.deadline_seconds = 1e-4;
-  try {
-    (void)server.submit("t", std::move(over)).get();
-  } catch (const engine::DeadlineError&) {
-  }
-#endif
 
   // The leased plan went back to the cache after the abort; the next
   // submission reuses it and must be bitwise identical to the reference.

@@ -345,8 +345,6 @@ TEST(Deadline, ServerResponseCarriesQueueTimeAndAttempts) {
   EXPECT_EQ(s2.expired, 0);
 }
 
-#ifdef PHMSE_FAULT_INJECTION
-
 // With the injector's deterministic stall, the deadline fires mid-flight
 // every time: the "pathological molecule" whose slow point is known.
 class DeadlineFault : public ::testing::Test {
@@ -436,16 +434,6 @@ TEST_F(DeadlineFault, StalledThreadedAndSimRunsStayBitwiseAfterCancel) {
   const engine::Result sim_got = splan.solve(m2, f.initial);
   EXPECT_TRUE(want.posterior().x == sim_got.posterior().x);
 }
-
-#else  // !PHMSE_FAULT_INJECTION
-
-TEST(DeadlineFault, RequiresInjectionBuild) {
-  GTEST_SKIP() << "configure with -DPHMSE_FAULT_INJECTION=ON "
-                  "(the CI presets do) to run the deterministic-stall "
-                  "deadline tests";
-}
-
-#endif  // PHMSE_FAULT_INJECTION
 
 }  // namespace
 }  // namespace phmse

@@ -17,7 +17,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "constraints/helix_gen.hpp"
@@ -419,9 +421,6 @@ TEST(DelayedSweep, DroppedBatchesInsideAPendingWindowKeepTheEquality) {
 }
 
 TEST(DelayedSweep, RetriedAndExhaustedBatchesInsideAPendingWindow) {
-#ifndef PHMSE_FAULT_INJECTION
-  GTEST_SKIP() << "configure with -DPHMSE_FAULT_INJECTION=ON to inject";
-#else
   const HelixSweep sweep;
   Executors ex;
   est::SolvePolicy exhausted = est::SolvePolicy::retry_regularized();
@@ -460,7 +459,6 @@ TEST(DelayedSweep, RetriedAndExhaustedBatchesInsideAPendingWindow) {
       }
     }
   }
-#endif
 }
 
 // -- the exits ----------------------------------------------------------------
@@ -585,12 +583,43 @@ TEST(DelayedSweepExit, AbortPolicyThrowAtEveryPendingDepth) {
   }
 }
 
-TEST(DelayedSweepExit, InjectedFaultsAtEveryPendingDepth) {
-#ifndef PHMSE_FAULT_INJECTION
-  GTEST_SKIP() << "configure with -DPHMSE_FAULT_INJECTION=ON to inject";
-#else
+// One ctest entry per (backend, executor) cell, so no single entry sets a
+// sanitizer leg's wall time.  Every cell runs every fault kind at every
+// pending depth, eager and delayed.
+struct FaultCell {
+  const linalg::Backend* backend;
+  const char* exec;  // a name in sweep_executors()
+};
+
+// gtest_discover_tests names each ctest entry by this printout.
+void PrintTo(const FaultCell& cell, std::ostream* os) {
+  *os << cell.backend->name << "_" << cell.exec;
+}
+
+std::vector<FaultCell> fault_cells() {
+  std::vector<FaultCell> cells;
+  for (const linalg::Backend* b : linalg::all_backends()) {
+    for (const char* exec : {"serial", "team3", "sim3"}) {
+      cells.push_back({b, exec});
+    }
+  }
+  return cells;
+}
+
+class DelayedSweepFault : public ::testing::TestWithParam<FaultCell> {};
+
+INSTANTIATE_TEST_SUITE_P(Cells, DelayedSweepFault,
+                         ::testing::ValuesIn(fault_cells()));
+
+TEST_P(DelayedSweepFault, InjectedFaultsAtEveryPendingDepth) {
+  const linalg::Backend* b = GetParam().backend;
   const HelixSweep sweep;
   Executors ex;
+  par::ExecContext* ctx = nullptr;
+  for (const auto& [name, c] : sweep_executors(ex)) {
+    if (std::string_view(name) == GetParam().exec) ctx = c;
+  }
+  ASSERT_NE(ctx, nullptr) << GetParam().exec;
   struct Fault {
     const char* name;
     fault::Kind kind;
@@ -608,71 +637,62 @@ TEST(DelayedSweepExit, InjectedFaultsAtEveryPendingDepth) {
   // batch that reads atom 0.
   const cons::ConstraintSet poison_set =
       sweep.atom0_in_every_batch(kExitBatch);
-  for (const linalg::Backend* b : linalg::all_backends()) {
-    const linalg::Backend eager = with_delay(*b, 0);
-    const linalg::Backend delayed = with_delay(*b, 8);
-    for (const Fault& f : faults) {
-      const cons::ConstraintSet& set =
-          f.kind == fault::Kind::kPoisonState ? poison_set : sweep.set;
-      for (Index depth = 0; depth < est::BatchUpdater::kDelayBatches;
-           ++depth) {
-        const Index stop = 2 * est::BatchUpdater::kDelayBatches + depth;
-        for (const auto& [exec, ctx] : sweep_executors(ex)) {
-          est::NodeState states[2];
-          const linalg::Backend* tables[2] = {&eager, &delayed};
-          for (int v = 0; v < 2; ++v) {
-            fault::Injector::instance().clear();
-            fault::Site site;
-            site.kind = f.kind;
-            site.batch = stop;
-            site.magnitude = f.magnitude;
-            fault::Injector::instance().arm(site);
-            states[v] = sweep.start;
-            est::BatchUpdater up;
-            up.set_backend(tables[v]);
-            if (f.throws) {
-              EXPECT_THROW(up.apply_all(*ctx, states[v], set, kExitBatch),
-                           Error)
-                  << f.name;
-            } else {
-              up.apply_all(*ctx, states[v], set, kExitBatch);
-            }
-            fault::Injector::instance().clear();
-          }
-          const std::string where = std::string(f.name) + " " + b->name +
-                                    " on " + exec + " depth " +
-                                    std::to_string(depth);
-          if (!f.throws) {
-            EXPECT_TRUE(bitwise_symmetric(states[1].c)) << where;
-            EXPECT_EQ(states[1].x, states[0].x) << where;
-            EXPECT_EQ(states[1].c, states[0].c) << where;
-            continue;
-          }
-          est::NodeState committed = sweep.start;
-          est::BatchUpdater up;
-          up.set_backend(&eager);
-          up.apply_all(*ctx, committed, prefix(set, stop, kExitBatch),
-                       kExitBatch);
-          // The poisoned x[0] stays NaN (validation drops the batch before
-          // any write), so compare the covariances.
-          if (f.kind == fault::Kind::kPoisonState) {
-            EXPECT_TRUE(bitwise_symmetric(states[1].c)) << where;
-            EXPECT_EQ(states[1].c, states[0].c) << where;
-            EXPECT_EQ(states[1].c, committed.c) << where;
-            EXPECT_TRUE(std::isnan(states[1].x[0])) << where;
-            EXPECT_TRUE(std::equal(states[1].x.begin() + 1,
-                                   states[1].x.end(),
-                                   committed.x.begin() + 1,
-                                   committed.x.end(), same_bits))
-                << where;
-            continue;
-          }
-          expect_stopped_at(states[1], states[0], committed, where);
+  const linalg::Backend eager = with_delay(*b, 0);
+  const linalg::Backend delayed = with_delay(*b, 8);
+  for (const Fault& f : faults) {
+    const cons::ConstraintSet& set =
+        f.kind == fault::Kind::kPoisonState ? poison_set : sweep.set;
+    for (Index depth = 0; depth < est::BatchUpdater::kDelayBatches;
+         ++depth) {
+      const Index stop = 2 * est::BatchUpdater::kDelayBatches + depth;
+      est::NodeState states[2];
+      const linalg::Backend* tables[2] = {&eager, &delayed};
+      for (int v = 0; v < 2; ++v) {
+        fault::Injector::instance().clear();
+        fault::Site site;
+        site.kind = f.kind;
+        site.batch = stop;
+        site.magnitude = f.magnitude;
+        fault::Injector::instance().arm(site);
+        states[v] = sweep.start;
+        est::BatchUpdater up;
+        up.set_backend(tables[v]);
+        if (f.throws) {
+          EXPECT_THROW(up.apply_all(*ctx, states[v], set, kExitBatch), Error)
+              << f.name;
+        } else {
+          up.apply_all(*ctx, states[v], set, kExitBatch);
         }
+        fault::Injector::instance().clear();
       }
+      const std::string where = std::string(f.name) + " depth " +
+                                std::to_string(depth);
+      if (!f.throws) {
+        EXPECT_TRUE(bitwise_symmetric(states[1].c)) << where;
+        EXPECT_EQ(states[1].x, states[0].x) << where;
+        EXPECT_EQ(states[1].c, states[0].c) << where;
+        continue;
+      }
+      est::NodeState committed = sweep.start;
+      est::BatchUpdater up;
+      up.set_backend(&eager);
+      up.apply_all(*ctx, committed, prefix(set, stop, kExitBatch), kExitBatch);
+      // The poisoned x[0] stays NaN (validation drops the batch before any
+      // write), so compare the covariances.
+      if (f.kind == fault::Kind::kPoisonState) {
+        EXPECT_TRUE(bitwise_symmetric(states[1].c)) << where;
+        EXPECT_EQ(states[1].c, states[0].c) << where;
+        EXPECT_EQ(states[1].c, committed.c) << where;
+        EXPECT_TRUE(std::isnan(states[1].x[0])) << where;
+        EXPECT_TRUE(std::equal(states[1].x.begin() + 1, states[1].x.end(),
+                               committed.x.begin() + 1, committed.x.end(),
+                               same_bits))
+            << where;
+        continue;
+      }
+      expect_stopped_at(states[1], states[0], committed, where);
     }
   }
-#endif
 }
 
 }  // namespace

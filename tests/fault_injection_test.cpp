@@ -1,12 +1,11 @@
 // Fault-containment tests (DESIGN.md §9), driven by the deterministic
 // injection seam in src/estimation/fault_injection.hpp.
 //
-// Built only when the PHMSE_FAULT_INJECTION option is ON (the CI presets
-// turn it on); in a plain build every test here skips.  Injected faults are
-// keyed on (node atom range, batch ordinal), which is identical across the
-// serial, threaded and simulated executors — so a fault-tolerant solve must
-// not just survive the fault, it must produce bitwise identical results on
-// all three.
+// The hooks are in every build and fire only while a test arms a site.
+// Injected faults are keyed on (node atom range, batch ordinal), which is
+// identical across the serial, threaded and simulated executors — so a
+// fault-tolerant solve must not just survive the fault, it must produce
+// bitwise identical results on all three.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -25,15 +24,6 @@
 
 namespace phmse::est {
 namespace {
-
-#ifndef PHMSE_FAULT_INJECTION
-
-TEST(FaultInjection, RequiresInjectionBuild) {
-  GTEST_SKIP() << "configure with -DPHMSE_FAULT_INJECTION=ON "
-                  "(the CI presets do) to run the fault-containment tests";
-}
-
-#else  // PHMSE_FAULT_INJECTION
 
 using cons::Constraint;
 using cons::Kind;
@@ -356,8 +346,6 @@ TEST_F(FaultInjection, CleanSolveUnderFaultPolicyReportsAllOk) {
   EXPECT_EQ(r.posterior().x, a.posterior().x);
   EXPECT_EQ(r.posterior().c, a.posterior().c);
 }
-
-#endif  // PHMSE_FAULT_INJECTION
 
 }  // namespace
 }  // namespace phmse::est

@@ -28,15 +28,6 @@
 namespace phmse::est {
 namespace {
 
-#ifndef PHMSE_FAULT_INJECTION
-
-TEST(IncrementalFault, RequiresInjectionBuild) {
-  GTEST_SKIP() << "configure with -DPHMSE_FAULT_INJECTION=ON "
-                  "(the CI presets do) to run the incremental fault tests";
-}
-
-#else  // PHMSE_FAULT_INJECTION
-
 // Every test starts and ends with a disarmed injector, so a failing test
 // cannot leave a fault armed for whatever test runs next.
 class IncrementalFault : public ::testing::Test {
@@ -283,8 +274,6 @@ TEST_F(IncrementalFault, ClearedFaultNeedsDirtyMarkToRecover) {
   EXPECT_TRUE(got.report.incremental);
   expect_same(got, want, "recovery after dirty mark");
 }
-
-#endif  // PHMSE_FAULT_INJECTION
 
 }  // namespace
 }  // namespace phmse::est

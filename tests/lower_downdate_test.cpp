@@ -444,9 +444,6 @@ TEST(SweepExit, AbortPolicyThrowLeavesCSymmetric) {
 }
 
 TEST(SweepExit, InjectedFaultLeavesCSymmetric) {
-#ifndef PHMSE_FAULT_INJECTION
-  GTEST_SKIP() << "configure with -DPHMSE_FAULT_INJECTION=ON to inject";
-#else
   const ChainSweep sweep(15011);
   Executors ex;
   for (const auto& [exec, ctx] : ex.all()) {
@@ -462,7 +459,6 @@ TEST(SweepExit, InjectedFaultLeavesCSymmetric) {
     EXPECT_NE(st.c, sweep.start.c) << exec << ": no batch committed";
     EXPECT_EQ(asymmetry(st.c), "") << exec;
   }
-#endif
 }
 
 }  // namespace
