@@ -333,11 +333,6 @@ int run_all(const std::string& out_path) {
                 b = b0;
                 impl->trsm_lower(ctx, l, b);
               });
-        h.run("trsm_lower_transposed", impl->name, sz, trsm_rhs, t, flops,
-              bytes, [&](par::ExecContext& ctx) {
-                b = b0;
-                impl->trsm_lower_transposed(ctx, l, b);
-              });
       }
     }
   }
@@ -455,9 +450,8 @@ int run_all(const std::string& out_path) {
   };
   std::printf("single-thread speedups at the largest shape:\n");
   for (const std::string kernel :
-       {"covariance_downdate", "gram", "trsm_lower",
-        "trsm_lower_transposed", "cholesky", "sparse_dense",
-        "innovation_covariance", "gain_times_residual"}) {
+       {"covariance_downdate", "gram", "trsm_lower", "cholesky",
+        "sparse_dense", "innovation_covariance", "gain_times_residual"}) {
     const KernelBenchRecord* simd = best_at_largest(kernel, "simd");
     const KernelBenchRecord* blocked = best_at_largest(kernel, "blocked");
     const KernelBenchRecord* ref = best_at_largest(kernel, "ref");

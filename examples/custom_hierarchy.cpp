@@ -37,7 +37,11 @@ ChainMolecule build_chain(Index residues) {
                            4.0 * std::sin(0.7 * t), 1.8 * t};
     for (Index k = 0; k < 6; ++k) {
       const double u = static_cast<double>(k);
-      m.topo.add_atom("r" + std::to_string(r) + "_" + std::to_string(k),
+      std::string label = "r";
+      label += std::to_string(r);
+      label += '_';
+      label += std::to_string(k);
+      m.topo.add_atom(std::move(label),
                       center + mol::Vec3{1.4 * std::cos(2.1 * u),
                                          1.4 * std::sin(2.1 * u),
                                          0.4 * u} +

@@ -50,7 +50,6 @@ KNOWN_KERNELS = {
     "covariance_downdate",
     "gram",
     "trsm_lower",
-    "trsm_lower_transposed",
     "cholesky",
     "sparse_dense",
     "innovation_covariance",

@@ -369,12 +369,6 @@ PlanRunStats SolvePlan::run_cycles_(const Vector& initial_x,
     throw;
   }
   cycle_incremental_ = false;
-  stats.incremental = incremental;
-  stats.nodes_recomputed =
-      static_cast<long>(exec_count) +
-      static_cast<long>(nodes_.size()) * static_cast<long>(stats.cycles - 1);
-  stats.nodes_reused =
-      incremental ? static_cast<long>(nodes_.size() - exec_count) : 0;
   // Aggregate after the executor has joined (every pass() above completes
   // its whole tree before returning), so reading the per-node tallies races
   // with nothing.
@@ -382,9 +376,12 @@ PlanRunStats SolvePlan::run_cycles_(const Vector& initial_x,
     const NodeWork& w = nodes_[i];
     report_.merge(i, w.node->atom_begin, w.node->atom_end, w.report);
   }
-  report_.incremental = stats.incremental;
-  report_.nodes_recomputed = stats.nodes_recomputed;
-  report_.nodes_reused = stats.nodes_reused;
+  report_.incremental = incremental;
+  report_.nodes_recomputed =
+      static_cast<long>(exec_count) +
+      static_cast<long>(nodes_.size()) * static_cast<long>(stats.cycles - 1);
+  report_.nodes_reused =
+      incremental ? static_cast<long>(nodes_.size() - exec_count) : 0;
   // The run completed: every node state is now consistent with the current
   // observations and this initial_x, so the dirty set drains and — after a
   // single-cycle run — the states form a valid checkpoint for the next
@@ -524,14 +521,10 @@ bool SolvePlan::try_run_lowrank(par::ExecContext& ctx, const Vector& initial_x,
   stats->last_cycle_delta = rms_delta(root.state.x, prev_x_);
   prev_x_ = root.state.x;
   stats->converged = false;
-  stats->incremental = true;
-  stats->low_rank = true;
-  stats->nodes_recomputed = 0;
-  stats->nodes_reused = static_cast<long>(nodes_.size());
   report_.incremental = true;
   report_.low_rank = true;
   report_.nodes_recomputed = 0;
-  report_.nodes_reused = stats->nodes_reused;
+  report_.nodes_reused = static_cast<long>(nodes_.size());
   return true;
 }
 

@@ -117,17 +117,6 @@ struct PlanRunStats {
   int cycles = 0;
   double last_cycle_delta = 0.0;
   bool converged = false;
-  /// True when the run executed the incremental dirty schedule (a valid
-  /// checkpoint existed and the run was requested as incremental).
-  bool incremental = false;
-  /// True when the run was a low-rank perturbative update of the root
-  /// posterior (try_run_lowrank) instead of any tree traversal.
-  bool low_rank = false;
-  /// Node executions this run: the cycle-1 dirty path plus every node on
-  /// later cycles.  A full run counts every node once per cycle.
-  long nodes_recomputed = 0;
-  /// Cycle-1 nodes served from their checkpoint instead of re-executing.
-  long nodes_reused = 0;
   /// Per-category time of the run in the executor's own accounting: what
   /// the run added to a caller context's profile, the sum over all node
   /// teams on a thread pool, or the simulated machine's reported profile
@@ -184,7 +173,7 @@ class SolvePlan {
   /// and their ancestor paths are re-executed; every other node's persisted
   /// posterior is reused in place and its saved sweep tally is replayed
   /// into the report.  Without a valid checkpoint the run silently degrades
-  /// to a full one (PlanRunStats::incremental stays false).  Either way the
+  /// to a full one (SolveReport::incremental stays false).  Either way the
   /// posterior and the report are bitwise identical to a full run.
   ///
   /// Cancellation (DESIGN.md §13): every executor polls `cancel` (null =

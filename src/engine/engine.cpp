@@ -216,7 +216,7 @@ Result Plan::finish_result_(const core::PlanRunStats& stats, double seconds) {
   // Feed the degradation rung's exact-path cost estimate (DESIGN.md §13).
   // Low-rank runs are excluded — they are the degraded answer, not the
   // exact path the estimate must predict.
-  if (!stats.low_rank) {
+  if (!r.report.low_rank) {
     exact_seconds_ewma_ = exact_seconds_ewma_ == 0.0
                               ? seconds
                               : 0.7 * exact_seconds_ewma_ + 0.3 * seconds;

@@ -1,8 +1,7 @@
 #include "estimation/combine.hpp"
 
+#include "linalg/backend.hpp"
 #include "linalg/blas.hpp"
-#include "linalg/cholesky.hpp"
-#include "linalg/kernels.hpp"
 #include "support/check.hpp"
 
 namespace phmse::est {
@@ -13,13 +12,15 @@ using linalg::Vector;
 
 // Y = C^{-1} via Cholesky: C = L L^T, W = L^{-1} I, Y = W^T W.
 Matrix information_matrix(par::ExecContext& ctx, const Matrix& c) {
+  const linalg::Backend& be = linalg::default_backend();
   Matrix l = c;
-  linalg::cholesky(ctx, l);
+  PHMSE_CHECK(be.cholesky_factor(ctx, l, 48).ok(),
+              "combine: posterior covariance is not positive definite");
   Matrix w(c.rows(), c.cols());
   w.set_identity();
-  linalg::trsm_lower(ctx, l, w);
+  be.trsm_lower(ctx, l, w);
   Matrix y;
-  linalg::gram(ctx, w, y);
+  be.gram(ctx, w, y);
   return y;
 }
 

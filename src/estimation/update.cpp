@@ -6,7 +6,6 @@
 #include "estimation/fault_injection.hpp"
 #include "linalg/backend.hpp"
 #include "linalg/blas.hpp"
-#include "linalg/cholesky.hpp"
 #include "linalg/kernels.hpp"
 #include "support/check.hpp"
 

@@ -8,7 +8,7 @@
 //   S  = L L^T                              (chol)
 //   V  = L^{-T} L^{-1} G                    (sys;  V = K^T, the gain)
 //   x+ = x- + V^T (z - h(x-))               (m-v / vec)
-//   C+ = C- - V^T G = C- - W^T W            (m-v;  W = L^{-1} G, kernels.hpp)
+//   C+ = C- - V^T G = C- - W^T W            (m-v;  W = L^{-1} G, backend.hpp)
 //
 // BatchUpdater owns the scratch buffers so repeated application over
 // thousands of batches does not allocate.

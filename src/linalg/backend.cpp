@@ -23,7 +23,6 @@ Backend make_ref() {
   b.sparse_dense = blocked::sparse_dense;
   b.innovation_covariance = blocked::innovation_covariance;
   b.trsm_lower = ref::trsm_lower;
-  b.trsm_lower_transposed = ref::trsm_lower_transposed;
   b.gain_times_residual = blocked::gain_times_residual;
   b.covariance_downdate = ref::covariance_downdate;
   b.downdate_rows = ref::downdate_rows;
@@ -40,7 +39,6 @@ Backend make_blocked() {
   b.sparse_dense = blocked::sparse_dense;
   b.innovation_covariance = blocked::innovation_covariance;
   b.trsm_lower = blocked::trsm_lower;
-  b.trsm_lower_transposed = blocked::trsm_lower_transposed;
   b.gain_times_residual = blocked::gain_times_residual;
   b.covariance_downdate = blocked::covariance_downdate;
   b.downdate_rows = blocked::downdate_rows;
@@ -64,7 +62,6 @@ Backend make_simd() {
     b.sparse_dense = simd::sparse_dense;
     b.innovation_covariance = simd::innovation_covariance;
     b.trsm_lower = simd::trsm_lower;
-    b.trsm_lower_transposed = simd::trsm_lower_transposed;
     b.gain_times_residual = simd::gain_times_residual;
     b.covariance_downdate = simd::covariance_downdate;
     b.downdate_rows = simd::downdate_rows;

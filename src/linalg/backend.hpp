@@ -1,8 +1,20 @@
 // The linalg backend registry: runtime dispatch for the dense kernel layer.
 //
 // A Backend is a function-pointer table over the hot kernels of the Fig.-1
-// update procedure (see kernels.hpp for the category mapping).  Three
-// implementations are registered:
+// update procedure, and the only way to call them: a solve calls through
+// the table its plan pinned, anything else through default_backend().
+// Their categories mirror the accounting in the paper's Tables 3-6 (see
+// DESIGN.md):
+//   d-s  : G = H * C            (sparse Jacobian times dense covariance)
+//   m-m  : S = G * H^T + R      (innovation covariance assembly)
+//   chol : factor S = L L^T
+//   sys  : W = L^{-1} G         (the gain solve: K^T = L^{-T} W)
+//   m-v  : dx = W^T L^{-1} r, and the covariance update C -= W^T W, which
+//          is mathematically n dense matrix-vector products
+//          C(:,l) -= K a_l — the dominant operation, reported by the paper
+//          under m-v
+// The backend-independent kernels (vec copies, the rank-1 update) are the
+// free functions of kernels.hpp.  Three implementations are registered:
 //
 //   ref     — the frozen scalar oracle (linalg/ref); slow, trustworthy,
 //             never optimized.  The differential gate for everything else.
@@ -53,7 +65,8 @@ struct Backend {
   const char* simd_isa;
 
   /// G = H * C for H: m x t sparse and C: t x n (square for the plain
-  /// sweep, the gathered rows of C for a delayed one).  Per element, over
+  /// sweep, the gathered rows of C for a delayed one); G is resized to
+  /// m x n and parallel over its rows.  Per element, over
   /// row j's nonzeros in stored order from +0.0: g = fma(h_k, c(col_k, q),
   /// g) on simd; blocked and ref run linalg::axpy's g += h_k * c(col_k, q),
   /// fused only where the build contracts it.  Category: d-s.
@@ -70,7 +83,8 @@ struct Backend {
   /// and simd (the GEMM panel above each diagonal block and the block's
   /// substitution run the same steps).  Category: sys.
   void (*trsm_lower)(par::ExecContext&, const Matrix&, Matrix&);
-  void (*trsm_lower_transposed)(par::ExecContext&, const Matrix&, Matrix&);
+  /// dx += V^T r for V: m x n (the gain transpose), r: m and dx: n.
+  /// Category: m-v.
   void (*gain_times_residual)(par::ExecContext&, const Matrix&, const Vector&,
                               Vector&);
   /// C -= W^T W, the symmetric downdate of the Fig.-1 sweep.  Only the
@@ -81,7 +95,9 @@ struct Backend {
   /// oracle.  simd on AVX-512 runs every rank through a packed 8 x 24
   /// tile over column blocks, with the same per-element chain.  Callers
   /// that need C whole mirror the lower triangle (kernels.hpp,
-  /// mirror_lower).
+  /// mirror_lower): entries (i, j) and (j, i) of W^T W are the same exact
+  /// products, so a C bitwise symmetric before the call is bitwise the
+  /// full update after the mirror.
   void (*covariance_downdate)(par::ExecContext&, const Matrix&, Matrix&);
   /// T -= A^T W for A: k x t, W: k x n and T: t x n, each element through
   /// covariance_downdate's own per-element chain — the pending downdates of
@@ -93,6 +109,9 @@ struct Backend {
   /// panel, ref its row axpy.  Category: vec.
   void (*downdate_rows)(par::ExecContext&, const Matrix& a, const Matrix& w,
                         Matrix& t);
+  /// out = W^T W for W: m x n (out resized to n x n): the information
+  /// matrices of the Fig.-3 combination (estimation/combine.hpp).
+  /// Category: m-m.
   void (*gram)(par::ExecContext&, const Matrix&, Matrix&);
   /// In-place blocked Cholesky, returning the failing pivot.  blocked and
   /// simd factor each diagonal panel with detail::cholesky_factor_panel's

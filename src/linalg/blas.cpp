@@ -10,7 +10,7 @@ namespace {
 // order).  Every output element is accumulated through this exact
 // expression regardless of where lane boundaries slice the rows — that is
 // what keeps serial and threaded kernel output bitwise equal (the
-// guarantee documented in kernels.hpp).
+// determinism contract documented in backend.hpp).
 inline double fma8(double acc, double a0, double b0, double a1, double b1,
                    double a2, double b2, double a3, double b3, double a4,
                    double b4, double a5, double b5, double a6, double b6,
@@ -401,12 +401,19 @@ void trsv_lower_transposed(const Matrix& l, Vector& x) {
   PHMSE_CHECK(static_cast<Index>(x.size()) == l.rows(),
               "trsv: rhs size mismatch");
   const Index n = l.rows();
+  double* const xd = x.data();
   for (Index i = n - 1; i >= 0; --i) {
-    double s = x[static_cast<std::size_t>(i)];
-    for (Index k = i + 1; k < n; ++k) {
-      s -= l(k, i) * x[static_cast<std::size_t>(k)];
+    // lki walks column i of L down from its diagonal, L(k, i) for ascending
+    // k > i.  The loop runs over x's own range, so GCC can bound its trip
+    // count; a loop over the index k cannot be bounded through the k * n
+    // address arithmetic and draws -Waggressive-loop-optimizations.
+    const double* lki = l.data() + i * n + i;
+    double s = xd[i];
+    for (const double* xk = xd + i + 1; xk != xd + n; ++xk) {
+      lki += n;
+      s -= *lki * *xk;
     }
-    x[static_cast<std::size_t>(i)] = s / l(i, i);
+    xd[i] = s / l(i, i);
   }
 }
 

@@ -45,8 +45,8 @@ void trsv_lower(const Matrix& l, Vector& x);
 void trsv_lower_transposed(const Matrix& l, Vector& x);
 
 /// Solves A X = B for SPD A using a serial Cholesky factorization; returns
-/// X.  B's rows are RHS-stacked: A (n x n), B (n x k).  Tests and the
-/// Fig. 3 combination procedure use this.
+/// X.  B's rows are RHS-stacked: A (n x n), B (n x k).  The Eq.-1
+/// work-model fit (core/work_model.cpp) uses this.
 Matrix spd_solve(const Matrix& a, const Matrix& b);
 
 // ---------------------------------------------------------------------------

@@ -114,12 +114,7 @@ void innovation_covariance(par::ExecContext& ctx, const Matrix& g,
 }
 
 void trsm_lower(par::ExecContext& ctx, const Matrix& l, Matrix& b) {
-  detail::trsm_impl<BlasPanels, false>(ctx, l, b);
-}
-
-void trsm_lower_transposed(par::ExecContext& ctx, const Matrix& l,
-                           Matrix& b) {
-  detail::trsm_impl<BlasPanels, true>(ctx, l, b);
+  detail::trsm_impl<BlasPanels>(ctx, l, b);
 }
 
 void gain_times_residual(par::ExecContext& ctx, const Matrix& v,

@@ -33,10 +33,6 @@ void innovation_covariance(par::ExecContext& ctx, const Matrix& g,
 /// Category: sys.
 void trsm_lower(par::ExecContext& ctx, const Matrix& l, Matrix& b);
 
-/// In-place backward solve B <- L^{-T} B, blocked over rows of L.
-/// Category: sys.
-void trsm_lower_transposed(par::ExecContext& ctx, const Matrix& l, Matrix& b);
-
 /// dx += V^T r; scalar row loop over the batch dimension.  Category: m-v.
 void gain_times_residual(par::ExecContext& ctx, const Matrix& v,
                          const Vector& r, Vector& dx);

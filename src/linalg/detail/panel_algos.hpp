@@ -68,15 +68,14 @@ inline void forward_substitute_block(const double* l, Index ldl, double* b,
   }
 }
 
-// Blocked triangular solve over rows of L; see the original implementation
-// notes in kernels.cpp (PR 2).  Columns of B are independent; each lane owns
-// a column slice.  Per block [k0, k1): the contribution of the already-
-// solved rows is applied as one GEMM panel, then the diagonal block is
-// solved by direct substitution (Panels::trsm_diag for the forward solve).
-// The substitution order seen by any single element matches the scalar
-// reference (ascending p for the forward solve), so the backends agree to
-// FMA-contraction round-off; see linalg::ref::trsm_lower.
-template <class Panels, bool Transposed>
+// Blocked forward solve B <- L^{-1} B over rows of L.  Columns of B are
+// independent; each lane owns a column slice.  Per block [k0, k0 + bs): the
+// contribution of the already-solved rows is applied as one GEMM panel,
+// then Panels::trsm_diag solves the diagonal block by substitution.  The
+// substitution order seen by any single element matches the scalar
+// reference (ascending p), so the backends agree to FMA-contraction
+// round-off; see linalg::ref::trsm_lower.
+template <class Panels>
 void trsm_impl(par::ExecContext& ctx, const Matrix& l, Matrix& b) {
   PHMSE_CHECK(l.rows() == l.cols(), "trsm: L must be square");
   PHMSE_CHECK(l.rows() == b.rows(), "trsm: dimension mismatch");
@@ -103,35 +102,13 @@ void trsm_impl(par::ExecContext& ctx, const Matrix& l, Matrix& b) {
     const Index ldb = b.cols();
     double* const bbase = b.data() + begin;
     const double* const ldata = l.data();
-    if constexpr (!Transposed) {
-      for (Index k0 = 0; k0 < m; k0 += kTrsmBlock) {
-        const Index bs = std::min(kTrsmBlock, m - k0);
-        // B[k0..k0+bs) -= L[k0..k0+bs, 0..k0) * B[0..k0).
-        Panels::nn_acc(-1.0, ldata + k0 * m, m, bbase, ldb, bbase + k0 * ldb,
-                       ldb, bs, k0, width);
-        Panels::trsm_diag(ldata + k0 * m + k0, m, bbase + k0 * ldb, ldb, bs,
-                          width);
-      }
-    } else {
-      for (Index k0 = ((m - 1) / kTrsmBlock) * kTrsmBlock; k0 >= 0;
-           k0 -= kTrsmBlock) {
-        const Index k1 = std::min(k0 + kTrsmBlock, m);
-        // B[k0..k1) -= L[k1..m, k0..k1)^T * B[k1..m).
-        Panels::tn_acc(-1.0, ldata + k1 * m + k0, m, bbase + k1 * ldb, ldb,
-                       bbase + k0 * ldb, ldb, k1 - k0, m - k1, width);
-        for (Index i = k1 - 1; i >= k0; --i) {
-          double* bi = bbase + i * ldb;
-          for (Index p = i + 1; p < k1; ++p) {
-            const double lpi = ldata[p * m + i];
-            const double* bp = bbase + p * ldb;
-            for (Index q = 0; q < width; ++q) {
-              bi[q] = std::fma(-lpi, bp[q], bi[q]);
-            }
-          }
-          const double inv = 1.0 / ldata[i * m + i];
-          for (Index q = 0; q < width; ++q) bi[q] *= inv;
-        }
-      }
+    for (Index k0 = 0; k0 < m; k0 += kTrsmBlock) {
+      const Index bs = std::min(kTrsmBlock, m - k0);
+      // B[k0..k0+bs) -= L[k0..k0+bs, 0..k0) * B[0..k0).
+      Panels::nn_acc(-1.0, ldata + k0 * m, m, bbase, ldb, bbase + k0 * ldb,
+                     ldb, bs, k0, width);
+      Panels::trsm_diag(ldata + k0 * m + k0, m, bbase + k0 * ldb, ldb, bs,
+                        width);
     }
   };
   ctx.parallel(perf::Category::kSystemSolve, k, cost, body);

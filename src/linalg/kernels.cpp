@@ -1,18 +1,11 @@
-// Dispatch layer: the public kernel entry points forward to the
-// process-default Backend (see backend.hpp).  Callers that need a specific
-// backend (e.g. a solve compiled with HierSolveOptions.backend) hold a
-// `const Backend*` and call through its table directly.
-//
-// The element-wise vector utilities at the bottom are backend-independent:
-// they are bandwidth-bound single-pass loops with nothing to specialize, so
-// they live here rather than in the per-backend tables.
+// The backend-independent kernels of kernels.hpp: bandwidth-bound
+// single-pass loops with nothing to specialize, so they live here rather
+// than in the per-backend tables (backend.hpp).
 #include "linalg/kernels.hpp"
 
 #include <algorithm>
 
-#include "linalg/backend.hpp"
 #include "linalg/blas.hpp"
-#include "linalg/cholesky.hpp"
 #include "linalg/detail/panel_algos.hpp"
 #include "support/check.hpp"
 
@@ -30,48 +23,6 @@ constexpr double kBytes = 8.0;  // sizeof(double)
 constexpr Index kMirrorTile = 64;
 
 }  // namespace
-
-void sparse_dense(par::ExecContext& ctx, const Csr& h, const Matrix& c,
-                  Matrix& g) {
-  default_backend().sparse_dense(ctx, h, c, g);
-}
-
-void innovation_covariance(par::ExecContext& ctx, const Matrix& g,
-                           const Csr& h, const Vector& r_diag, Matrix& s) {
-  default_backend().innovation_covariance(ctx, g, h, r_diag, s);
-}
-
-void trsm_lower(par::ExecContext& ctx, const Matrix& l, Matrix& b) {
-  default_backend().trsm_lower(ctx, l, b);
-}
-
-void trsm_lower_transposed(par::ExecContext& ctx, const Matrix& l,
-                           Matrix& b) {
-  default_backend().trsm_lower_transposed(ctx, l, b);
-}
-
-void gain_times_residual(par::ExecContext& ctx, const Matrix& v,
-                         const Vector& r, Vector& dx) {
-  default_backend().gain_times_residual(ctx, v, r, dx);
-}
-
-void covariance_downdate(par::ExecContext& ctx, const Matrix& w, Matrix& c) {
-  default_backend().covariance_downdate(ctx, w, c);
-}
-
-void gram(par::ExecContext& ctx, const Matrix& w, Matrix& out) {
-  default_backend().gram(ctx, w, out);
-}
-
-CholeskyResult cholesky_factor(par::ExecContext& ctx, Matrix& a,
-                               Index block_size) {
-  return default_backend().cholesky_factor(ctx, a, block_size);
-}
-
-void cholesky(par::ExecContext& ctx, Matrix& a, Index block_size) {
-  const CholeskyResult r = cholesky_factor(ctx, a, block_size);
-  PHMSE_CHECK(r.ok(), "cholesky: matrix is not positive definite");
-}
 
 void rank1_update(par::ExecContext& ctx, const Vector& v, double coeff,
                   Matrix& c) {

@@ -13,59 +13,6 @@ using perf::Category;
 
 constexpr double kBytes = 8.0;  // sizeof(double)
 
-// Shared implementation of the two triangular solves.  Columns of B are
-// independent; each lane sweeps its column slice through all m substitution
-// steps, streaming along B's rows.
-template <bool Transposed>
-void trsm_impl(par::ExecContext& ctx, const Matrix& l, Matrix& b) {
-  PHMSE_CHECK(l.rows() == l.cols(), "trsm: L must be square");
-  PHMSE_CHECK(l.rows() == b.rows(), "trsm: dimension mismatch");
-  const Index m = l.rows();
-  const Index k = b.cols();
-
-  auto cost = [&](Index begin, Index end) {
-    KernelStats st;
-    const double cols = static_cast<double>(end - begin);
-    st.flops = cols * static_cast<double>(m) * static_cast<double>(m);
-    st.bytes_stream = kBytes * (cols * static_cast<double>(m) +
-                                0.5 * static_cast<double>(m) *
-                                    static_cast<double>(m));
-    // The lane's column slice of B is revisited by every substitution step.
-    st.resident_bytes = kBytes * cols * static_cast<double>(m);
-    st.resident_sweeps = 0.5 * static_cast<double>(m);
-    return st;
-  };
-  auto body = [&](Index begin, Index end, int /*lane*/) {
-    const Index width = end - begin;
-    if (width <= 0) return;
-    if constexpr (!Transposed) {
-      for (Index i = 0; i < m; ++i) {
-        double* bi = b.row(i).data() + begin;
-        const double* lrow = l.row(i).data();
-        for (Index p = 0; p < i; ++p) {
-          const double lip = lrow[p];
-          const double* bp = b.row(p).data() + begin;
-          for (Index q = 0; q < width; ++q) bi[q] -= lip * bp[q];
-        }
-        const double inv = 1.0 / lrow[i];
-        for (Index q = 0; q < width; ++q) bi[q] *= inv;
-      }
-    } else {
-      for (Index i = m - 1; i >= 0; --i) {
-        double* bi = b.row(i).data() + begin;
-        for (Index p = i + 1; p < m; ++p) {
-          const double lpi = l(p, i);
-          const double* bp = b.row(p).data() + begin;
-          for (Index q = 0; q < width; ++q) bi[q] -= lpi * bp[q];
-        }
-        const double inv = 1.0 / l(i, i);
-        for (Index q = 0; q < width; ++q) bi[q] *= inv;
-      }
-    }
-  };
-  ctx.parallel(Category::kSystemSolve, k, cost, body);
-}
-
 // Factors the diagonal block [k, k+b) in place, using already-final columns
 // [0, k) of the panel rows.  Sequential.  Returns the failing pivot index,
 // or -1 on success (mirrors the production kernel's status contract).
@@ -87,13 +34,42 @@ Index factor_panel(Matrix& a, Index k, Index b) {
 
 }  // namespace
 
+// Columns of B are independent; each lane sweeps its column slice through
+// all m substitution steps, streaming along B's rows.
 void trsm_lower(par::ExecContext& ctx, const Matrix& l, Matrix& b) {
-  trsm_impl<false>(ctx, l, b);
-}
+  PHMSE_CHECK(l.rows() == l.cols(), "trsm: L must be square");
+  PHMSE_CHECK(l.rows() == b.rows(), "trsm: dimension mismatch");
+  const Index m = l.rows();
+  const Index k = b.cols();
 
-void trsm_lower_transposed(par::ExecContext& ctx, const Matrix& l,
-                           Matrix& b) {
-  trsm_impl<true>(ctx, l, b);
+  auto cost = [&](Index begin, Index end) {
+    KernelStats st;
+    const double cols = static_cast<double>(end - begin);
+    st.flops = cols * static_cast<double>(m) * static_cast<double>(m);
+    st.bytes_stream = kBytes * (cols * static_cast<double>(m) +
+                                0.5 * static_cast<double>(m) *
+                                    static_cast<double>(m));
+    // The lane's column slice of B is revisited by every substitution step.
+    st.resident_bytes = kBytes * cols * static_cast<double>(m);
+    st.resident_sweeps = 0.5 * static_cast<double>(m);
+    return st;
+  };
+  auto body = [&](Index begin, Index end, int /*lane*/) {
+    const Index width = end - begin;
+    if (width <= 0) return;
+    for (Index i = 0; i < m; ++i) {
+      double* bi = b.row(i).data() + begin;
+      const double* lrow = l.row(i).data();
+      for (Index p = 0; p < i; ++p) {
+        const double lip = lrow[p];
+        const double* bp = b.row(p).data() + begin;
+        for (Index q = 0; q < width; ++q) bi[q] -= lip * bp[q];
+      }
+      const double inv = 1.0 / lrow[i];
+      for (Index q = 0; q < width; ++q) bi[q] *= inv;
+    }
+  };
+  ctx.parallel(Category::kSystemSolve, k, cost, body);
 }
 
 void covariance_downdate(par::ExecContext& ctx, const Matrix& w, Matrix& c) {
@@ -278,11 +254,6 @@ CholeskyResult cholesky_factor(par::ExecContext& ctx, Matrix& a,
         }
       });
   return {};
-}
-
-void cholesky(par::ExecContext& ctx, Matrix& a, Index block_size) {
-  const CholeskyResult r = cholesky_factor(ctx, a, block_size);
-  PHMSE_CHECK(r.ok(), "cholesky: matrix is not positive definite");
 }
 
 }  // namespace phmse::linalg::ref

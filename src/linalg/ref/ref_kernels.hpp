@@ -27,9 +27,6 @@ namespace phmse::linalg::ref {
 /// In-place forward solve B <- L^{-1} B; scalar column-sweep reference.
 void trsm_lower(par::ExecContext& ctx, const Matrix& l, Matrix& b);
 
-/// In-place backward solve B <- L^{-T} B; scalar column-sweep reference.
-void trsm_lower_transposed(par::ExecContext& ctx, const Matrix& l, Matrix& b);
-
 /// C -= W^T * W on every entry, both triangles; scalar row-axpy reference.
 void covariance_downdate(par::ExecContext& ctx, const Matrix& w, Matrix& c);
 
@@ -47,9 +44,5 @@ void gram(par::ExecContext& ctx, const Matrix& w, Matrix& out);
 /// (same status contract as the production kernel).
 [[nodiscard]] CholeskyResult cholesky_factor(par::ExecContext& ctx, Matrix& a,
                                              Index block_size = 48);
-
-/// Throwing wrapper over cholesky_factor: throws phmse::Error if A is not
-/// (numerically) positive definite.
-void cholesky(par::ExecContext& ctx, Matrix& a, Index block_size = 48);
 
 }  // namespace phmse::linalg::ref

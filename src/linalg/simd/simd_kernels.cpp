@@ -1404,14 +1404,7 @@ void innovation_covariance(par::ExecContext& ctx, const Matrix& g,
 
 void trsm_lower(par::ExecContext& ctx, const Matrix& l, Matrix& b) {
   with_panels(active(), [&](auto panels) {
-    detail::trsm_impl<decltype(panels), false>(ctx, l, b);
-  });
-}
-
-void trsm_lower_transposed(par::ExecContext& ctx, const Matrix& l,
-                           Matrix& b) {
-  with_panels(active(), [&](auto panels) {
-    detail::trsm_impl<decltype(panels), true>(ctx, l, b);
+    detail::trsm_impl<decltype(panels)>(ctx, l, b);
   });
 }
 
@@ -1508,7 +1501,7 @@ void innovation_covariance_for_isa(std::string_view isa,
 void trsm_lower_for_isa(std::string_view isa, par::ExecContext& ctx,
                         const Matrix& l, Matrix& b) {
   with_panels(isa_by_name(isa, "trsm_lower_for_isa"), [&](auto panels) {
-    detail::trsm_impl<decltype(panels), false>(ctx, l, b);
+    detail::trsm_impl<decltype(panels)>(ctx, l, b);
   });
 }
 

@@ -101,9 +101,6 @@ void innovation_covariance(par::ExecContext& ctx, const Matrix& g,
 /// in registers.  Category: sys.
 void trsm_lower(par::ExecContext& ctx, const Matrix& l, Matrix& b);
 
-/// In-place backward solve B <- L^{-T} B.  Category: sys.
-void trsm_lower_transposed(par::ExecContext& ctx, const Matrix& l, Matrix& b);
-
 /// dx += V^T r with vectorized row axpy.  Category: m-v.
 void gain_times_residual(par::ExecContext& ctx, const Matrix& v,
                          const Vector& r, Vector& dx);

@@ -1,9 +1,10 @@
 // Status types for the non-throwing numerical-kernel entry points.
 //
 // The fault-tolerance layer (DESIGN.md §9) needs to observe a failed
-// factorization without unwinding through the executor, so the Cholesky
-// kernels come in two flavours: a `*_factor` function returning a
-// CholeskyResult, and the historical throwing wrapper built on top of it.
+// factorization without unwinding through the executor, so every Cholesky
+// kernel (each backend's cholesky_factor, blas.hpp's cholesky_factor_serial)
+// returns a CholeskyResult.  A caller that cannot go on without the factor
+// checks it itself; blas.hpp's cholesky_serial is the one throwing wrapper.
 #pragma once
 
 #include "support/types.hpp"

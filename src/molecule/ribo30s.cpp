@@ -120,10 +120,11 @@ Ribo30sModel build_ribo30s(const Ribo30sOptions& options) {
       p += Vec3{rng.gaussian(0.0, options.jitter),
                 rng.gaussian(0.0, options.jitter),
                 rng.gaussian(0.0, options.jitter)};
-      model.topology.add_atom(
-          std::string(prefix) + std::to_string(model.segments.size()) + "_" +
-              std::to_string(k),
-          p);
+      std::string label(prefix);
+      label += std::to_string(model.segments.size());
+      label += '_';
+      label += std::to_string(k);
+      model.topology.add_atom(std::move(label), p);
     }
     seg.end = model.topology.size();
     model.segments.push_back(seg);

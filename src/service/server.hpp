@@ -109,7 +109,7 @@ struct ServerOptions {
   /// Per-tenant overrides of max_refine_iterations (each >= 1): lets an
   /// operator grant a heavy tenant more refinement headroom — or throttle
   /// one — without touching everyone else's ceiling.
-  std::unordered_map<std::string, int> tenant_refine_iteration_caps;
+  std::unordered_map<std::string, int> tenant_refine_iteration_caps = {};
 };
 
 /// One tenant submission: a problem (or a cached family member), compile

@@ -131,7 +131,6 @@ TEST(Backend, RegistryListsRefBlockedSimd) {
     EXPECT_NE(b->sparse_dense, nullptr) << b->name;
     EXPECT_NE(b->innovation_covariance, nullptr) << b->name;
     EXPECT_NE(b->trsm_lower, nullptr) << b->name;
-    EXPECT_NE(b->trsm_lower_transposed, nullptr) << b->name;
     EXPECT_NE(b->gain_times_residual, nullptr) << b->name;
     EXPECT_NE(b->covariance_downdate, nullptr) << b->name;
     EXPECT_NE(b->gram, nullptr) << b->name;
@@ -246,16 +245,10 @@ TEST(BackendDifferential, TriangularSolvesMatchRefOnEveryBackend) {
       const Matrix b0 = random_matrix(sz, rhs, rng);
       Matrix fwd_ref = b0;
       oracle.trsm_lower(ctx, l, fwd_ref);
-      Matrix bwd_ref = b0;
-      oracle.trsm_lower_transposed(ctx, l, bwd_ref);
       for (const Backend* b : all_backends()) {
         Matrix x = b0;
         b->trsm_lower(ctx, l, x);
         expect_close(x, fwd_ref, 16.0, tag("trsm_lower", b->name, sz, rhs));
-        x = b0;
-        b->trsm_lower_transposed(ctx, l, x);
-        expect_close(x, bwd_ref, 16.0,
-                     tag("trsm_lower_transposed", b->name, sz, rhs));
       }
     }
   }

@@ -3,11 +3,10 @@
 #include <cmath>
 #include <memory>
 
+#include "linalg/backend.hpp"
 #include "linalg/blas.hpp"
-#include "linalg/cholesky.hpp"
 #include "parallel/team.hpp"
 #include "simarch/sim_context.hpp"
-#include "support/check.hpp"
 #include "support/rng.hpp"
 
 namespace phmse::linalg {
@@ -43,7 +42,7 @@ TEST_P(BlockedCholesky, MatchesSerialReference) {
 
   par::SerialContext ctx;
   Matrix actual = s;
-  cholesky(ctx, actual, block);
+  ASSERT_TRUE(default_backend().cholesky_factor(ctx, actual, block).ok());
 
   EXPECT_LT(actual.frobenius_distance(expected), 1e-9 * s.max_abs())
       << "n=" << n << " block=" << block;
@@ -55,7 +54,7 @@ TEST_P(BlockedCholesky, ReconstructsInput) {
   const Matrix s = random_spd(n, rng);
   par::SerialContext ctx;
   Matrix l = s;
-  cholesky(ctx, l, block);
+  ASSERT_TRUE(default_backend().cholesky_factor(ctx, l, block).ok());
   EXPECT_LT(matmul(l, transpose(l)).frobenius_distance(s),
             1e-9 * s.max_abs());
 }
@@ -69,7 +68,7 @@ TEST(BlockedCholeskyTeam, MatchesSerial) {
   par::ThreadPool pool(4);
   par::TeamContext team(pool, 0, 4);
   Matrix actual = s;
-  cholesky(team, actual, 16);
+  ASSERT_TRUE(default_backend().cholesky_factor(team, actual, 16).ok());
   EXPECT_LT(actual.frobenius_distance(expected), 1e-9 * s.max_abs());
 }
 
@@ -82,7 +81,7 @@ TEST(BlockedCholeskySim, MatchesSerialAndChargesCholCategory) {
   simarch::SimMachine machine(simarch::dash32());
   simarch::SimContext sim(machine, 0, 8);
   Matrix actual = s;
-  cholesky(sim, actual, 16);
+  ASSERT_TRUE(default_backend().cholesky_factor(sim, actual, 16).ok());
   EXPECT_LT(actual.frobenius_distance(expected), 1e-9 * s.max_abs());
   EXPECT_GT(machine.proc_profile(0).time(perf::Category::kCholesky), 0.0);
   EXPECT_DOUBLE_EQ(machine.proc_profile(0).time(perf::Category::kMatMat),
@@ -94,7 +93,7 @@ TEST(BlockedCholesky, ThrowsOnIndefinite) {
   m.set_identity();
   m(2, 2) = -4.0;
   par::SerialContext ctx;
-  EXPECT_THROW(cholesky(ctx, m, 2), Error);
+  EXPECT_EQ(default_backend().cholesky_factor(ctx, m, 2).failed_pivot, 2);
 }
 
 // Degenerate block sizes: a block of 1 (every step is a panel), exactly n
@@ -109,7 +108,8 @@ TEST(BlockedCholeskyEdge, DegenerateBlockSizes) {
   par::SerialContext ctx;
   for (const Index block : {Index{1}, n, n + 1}) {
     Matrix actual = s;
-    cholesky(ctx, actual, block);
+    ASSERT_TRUE(default_backend().cholesky_factor(ctx, actual, block).ok())
+        << "block=" << block;
     EXPECT_LT(actual.frobenius_distance(expected), 1e-9 * s.max_abs())
         << "block=" << block;
   }
@@ -117,8 +117,8 @@ TEST(BlockedCholeskyEdge, DegenerateBlockSizes) {
 
 // Near-singular SPD matrix (condition number ~1e12): the factorization must
 // either succeed with finite entries that reconstruct the input to a
-// condition-appropriate tolerance, or refuse with a clean phmse::Error —
-// never emit NaN/Inf.
+// condition-appropriate tolerance, or refuse cleanly by returning a pivot
+// inside the matrix — never emit NaN/Inf.
 TEST(BlockedCholeskyEdge, NearSingularSucceedsCleanlyOrThrows) {
   Rng rng(4502);
   const Index n = 64;
@@ -141,13 +141,12 @@ TEST(BlockedCholeskyEdge, NearSingularSucceedsCleanlyOrThrows) {
   par::SerialContext ctx;
   for (const Index block : {Index{1}, Index{8}, Index{48}}) {
     Matrix l = s;
-    bool threw = false;
-    try {
-      cholesky(ctx, l, block);
-    } catch (const Error&) {
-      threw = true;  // a clean refusal is acceptable for cond ~1e12
+    const CholeskyResult r = default_backend().cholesky_factor(ctx, l, block);
+    if (!r.ok()) {
+      // A clean refusal is acceptable for cond ~1e12.
+      EXPECT_LT(r.failed_pivot, n) << "block=" << block;
+      continue;
     }
-    if (threw) continue;
     for (Index i = 0; i < n; ++i) {
       for (Index j = 0; j < n; ++j) {
         ASSERT_TRUE(std::isfinite(l(i, j)))
@@ -166,7 +165,7 @@ TEST(BlockedCholesky, UpperTriangleZeroed) {
   Rng rng(44);
   Matrix s = random_spd(20, rng);
   par::SerialContext ctx;
-  cholesky(ctx, s, 8);
+  ASSERT_TRUE(default_backend().cholesky_factor(ctx, s, 8).ok());
   for (Index i = 0; i < 20; ++i) {
     for (Index j = i + 1; j < 20; ++j) EXPECT_EQ(s(i, j), 0.0);
   }

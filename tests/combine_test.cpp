@@ -161,6 +161,17 @@ TEST(Combine, RejectsMismatchedRanges) {
   EXPECT_THROW(combine_independent(ctx, a, b, a.x, 1.0), phmse::Error);
 }
 
+// Forming a posterior's information matrix factors its covariance, so a
+// covariance that is not positive definite stops the combination.
+TEST(Combine, NonSpdPosteriorThrows) {
+  const linalg::Vector x0{0, 0, 0, 0, 0, 0};
+  par::SerialContext ctx;
+  const NodeState a = fresh_state(x0, 1.0);
+  NodeState b = fresh_state(x0, 1.0);
+  b.c(4, 4) = -1.0;
+  EXPECT_THROW(combine_independent(ctx, a, b, x0, 1.0), phmse::Error);
+}
+
 TEST(Combine, CostsShowUpInProfile) {
   // The paper's point: combination is an O(n^3) overhead.  At least the
   // chol / sys / m-m categories must be exercised.

@@ -335,7 +335,8 @@ TEST(DeadlineStress, RandomizedStormRacingDrainAndShutdownSettlesEverything) {
         if (mode == 1) r.deadline_seconds = 5e-4;  // usually dies queued
         if (mode == 2) r.deadline_seconds = 0.01;  // races the solve
         if (mode == 3) r.deadline_seconds = 30.0;  // always makes it
-        const std::string tenant = "t" + std::to_string(rng.uniform_int(0, 2));
+        std::string tenant = "t";
+        tenant += std::to_string(rng.uniform_int(0, 2));
         try {
           std::future<Response> fut = server.submit(tenant, std::move(r));
           try {

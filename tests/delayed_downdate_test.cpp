@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <initializer_list>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -97,35 +98,75 @@ linalg::Backend with_delay(const linalg::Backend& b, Index delay_min_dim) {
 
 // -- the kernels --------------------------------------------------------------
 
-TEST(PackedDowndate, LowerTriangleIsBitwiseTheBlockedPanel) {
-  // On AVX-512 simd runs every rank through the packed tile; elsewhere it
-  // runs the panel, and the equality holds trivially.  The n include lanes
-  // whose last row tile is short of 8 rows and column counts around the
-  // tile's 24.
-  Rng rng(16001);
-  Executors ex;
+// simd's downdate against the blocked panel for one (n, m) on every
+// executor: the lower triangle, bitwise.  On AVX-512 simd runs every rank
+// through the packed tile; elsewhere it runs the panel, and the equality
+// holds trivially.
+void expect_packed_is_panel(Index n, Index m, Rng& rng, Executors& ex) {
   const linalg::Backend& simd = *linalg::find_backend("simd");
   const linalg::Backend& blocked = *linalg::find_backend("blocked");
-  for (const Index n :
-       {1, 7, 8, 9, 23, 24, 25, 33, 36, 129, 257, 258, 1021, 2697}) {
-    for (const Index m : {1, 2, 7, 8, 9, 15, 16, 17, 32, 33, 64, 128}) {
-      const Matrix w = random_matrix(m, n, rng);
-      const Matrix c0 = random_symmetric(n, rng);
-      Matrix want = c0;
-      blocked.covariance_downdate(ex.serial, w, want);
-      for (const auto& [exec, ctx] : ex.all()) {
-        Matrix c = c0;
-        simd.covariance_downdate(*ctx, w, c);
-        for (Index i = 0; i < n; ++i) {
-          for (Index j = 0; j <= i; ++j) {
-            ASSERT_TRUE(same_bits(c(i, j), want(i, j)))
-                << simd.simd_isa << " on " << exec << " n=" << n
-                << " m=" << m << " at (" << i << ", " << j << ")";
-          }
-        }
+  const Matrix w = random_matrix(m, n, rng);
+  const Matrix c0 = random_symmetric(n, rng);
+  Matrix want = c0;
+  blocked.covariance_downdate(ex.serial, w, want);
+  for (const auto& [exec, ctx] : ex.all()) {
+    Matrix c = c0;
+    simd.covariance_downdate(*ctx, w, c);
+    for (Index i = 0; i < n; ++i) {
+      for (Index j = 0; j <= i; ++j) {
+        ASSERT_TRUE(same_bits(c(i, j), want(i, j)))
+            << simd.simd_isa << " on " << exec << " n=" << n << " m=" << m
+            << " at (" << i << ", " << j << ")";
       }
     }
   }
+}
+
+const std::vector<Index> kPackedRanks = {1, 2, 7, 8, 9, 15, 16, 17,
+                                         32, 33, 64, 128};
+
+TEST(PackedDowndate, LowerTriangleIsBitwiseTheBlockedPanel) {
+  // The n include lanes whose last row tile is short of 8 rows and column
+  // counts around the tile's 24.  The root sizes run in PackedDowndateRoot.
+  Rng rng(16001);
+  Executors ex;
+  for (const Index n : {1, 7, 8, 9, 23, 24, 25, 33, 36, 129, 257, 258}) {
+    for (const Index m : kPackedRanks) {
+      ASSERT_NO_FATAL_FAILURE(expect_packed_is_panel(n, m, rng, ex));
+    }
+  }
+}
+
+// Root-sized n, one ctest entry per (n, m), so no single entry sets a
+// sanitizer leg's wall time.
+struct RootShape {
+  Index n;
+  Index m;
+};
+
+// gtest_discover_tests names each ctest entry by this printout.
+void PrintTo(const RootShape& shape, std::ostream* os) {
+  *os << "n" << shape.n << "_m" << shape.m;
+}
+
+std::vector<RootShape> root_shapes() {
+  std::vector<RootShape> shapes;
+  for (const Index n : {1021, 2697}) {
+    for (const Index m : kPackedRanks) shapes.push_back({n, m});
+  }
+  return shapes;
+}
+
+class PackedDowndateRoot : public ::testing::TestWithParam<RootShape> {};
+
+INSTANTIATE_TEST_SUITE_P(Cells, PackedDowndateRoot,
+                         ::testing::ValuesIn(root_shapes()));
+
+TEST_P(PackedDowndateRoot, LowerTriangleIsBitwiseTheBlockedPanel) {
+  const RootShape shape = GetParam();
+  Rng rng(static_cast<std::uint64_t>(16001 + 1000 * shape.n + shape.m));
+  Executors ex;
+  expect_packed_is_panel(shape.n, shape.m, rng, ex);
 }
 
 TEST(PackedDowndate, OneStackedCallIsBitwiseTheSequentialCalls) {
@@ -357,34 +398,80 @@ std::vector<std::pair<const char*, par::ExecContext*>> sweep_executors(
   return {{"serial", &ex.serial}, {"team3", &ex.team3}, {"sim3", &ex.sim}};
 }
 
+// One ctest entry per (backend, executor) cell, so no single entry sets a
+// sanitizer leg's wall time.
+struct SweepCell {
+  const linalg::Backend* backend;
+  const char* exec;  // a name in sweep_executors()
+};
+
+// gtest_discover_tests names each ctest entry by this printout.
+void PrintTo(const SweepCell& cell, std::ostream* os) {
+  *os << cell.backend->name << "_" << cell.exec;
+}
+
+std::vector<SweepCell> sweep_cells(std::initializer_list<const char*> execs) {
+  std::vector<SweepCell> cells;
+  for (const linalg::Backend* b : linalg::all_backends()) {
+    for (const char* exec : execs) cells.push_back({b, exec});
+  }
+  return cells;
+}
+
+par::ExecContext& sweep_executor(Executors& ex, std::string_view name) {
+  for (const auto& [exec, ctx] : sweep_executors(ex)) {
+    if (name == exec) return *ctx;
+  }
+  PHMSE_CHECK(false, "no sweep executor named " + std::string(name));
+  return ex.serial;
+}
+
+// The DelayedSweep tests run each backend on the serial executor; the same
+// checks run on the team3 and sim3 executors as DelayedSweepLanes cells.
+class DelayedSweepLanes : public ::testing::TestWithParam<SweepCell> {};
+
+INSTANTIATE_TEST_SUITE_P(Cells, DelayedSweepLanes,
+                         ::testing::ValuesIn(sweep_cells({"team3", "sim3"})));
+
+void expect_delayed_is_eager(const HelixSweep& sweep, const linalg::Backend& b,
+                             const char* exec, par::ExecContext& ctx) {
+  const linalg::Backend eager = with_delay(b, 0);
+  const linalg::Backend delayed = with_delay(b, 8);
+  SweepResult want;
+  SweepResult got;
+  run_sweep(ctx, eager, sweep.start, sweep.set, 16, {}, want);
+  run_sweep(ctx, delayed, sweep.start, sweep.set, 16, {}, got);
+  ASSERT_GT(want.report.ok, est::BatchUpdater::kDelayBatches);
+  expect_same_sweep(got, want, sweep.set.size(),
+                    std::string(b.name) + " on " + exec);
+  // A second sweep on the same updater (warm queue) stays equal.
+  const est::NodeState mid = got.state;
+  run_sweep(ctx, eager, mid, sweep.set, 16, {}, want);
+  run_sweep(ctx, delayed, mid, sweep.set, 16, {}, got);
+  expect_same_sweep(got, want, sweep.set.size(),
+                    std::string(b.name) + " second sweep on " + exec);
+}
+
 TEST(DelayedSweep, EveryBackendIsBitwiseItsEagerSweep) {
   const HelixSweep sweep;
   ASSERT_GE(sweep.start.dim(), 8);
   Executors ex;
   for (const linalg::Backend* b : linalg::all_backends()) {
-    const linalg::Backend eager = with_delay(*b, 0);
-    const linalg::Backend delayed = with_delay(*b, 8);
-    for (const auto& [exec, ctx] : sweep_executors(ex)) {
-      SweepResult want;
-      SweepResult got;
-      run_sweep(*ctx, eager, sweep.start, sweep.set, 16, {}, want);
-      run_sweep(*ctx, delayed, sweep.start, sweep.set, 16, {}, got);
-      ASSERT_GT(want.report.ok, est::BatchUpdater::kDelayBatches);
-      expect_same_sweep(got, want, sweep.set.size(),
-                        std::string(b->name) + " on " + exec);
-      // A second sweep on the same updater (warm queue) stays equal.
-      const est::NodeState mid = got.state;
-      run_sweep(*ctx, eager, mid, sweep.set, 16, {}, want);
-      run_sweep(*ctx, delayed, mid, sweep.set, 16, {}, got);
-      expect_same_sweep(got, want, sweep.set.size(),
-                        std::string(b->name) + " second sweep on " + exec);
-    }
+    ASSERT_NO_FATAL_FAILURE(
+        expect_delayed_is_eager(sweep, *b, "serial", ex.serial));
   }
 }
 
-TEST(DelayedSweep, DroppedBatchesInsideAPendingWindowKeepTheEquality) {
+TEST_P(DelayedSweepLanes, EveryBackendIsBitwiseItsEagerSweep) {
   const HelixSweep sweep;
   Executors ex;
+  expect_delayed_is_eager(sweep, *GetParam().backend, GetParam().exec,
+                          sweep_executor(ex, GetParam().exec));
+}
+
+void expect_dropped_keep_equality(const HelixSweep& sweep,
+                                  const linalg::Backend& b, const char* exec,
+                                  par::ExecContext& ctx) {
   const Index bs = 8;
   // Batch 5 (pending depth 1 after the flush at 4) and batch 11 (depth 3)
   // are dropped, so each window flushes a ragged set of batches.
@@ -401,64 +488,86 @@ TEST(DelayedSweep, DroppedBatchesInsideAPendingWindowKeepTheEquality) {
       {"skipped", &nan_set, est::SolvePolicy::skip_batch()},
       {"gated", &wild_set, est::SolvePolicy::gate_outliers()},
   };
+  const linalg::Backend eager = with_delay(b, 0);
+  const linalg::Backend delayed = with_delay(b, 8);
+  for (const Case& c : cases) {
+    SweepResult want;
+    SweepResult got;
+    run_sweep(ctx, eager, sweep.start, *c.set, bs, c.policy, want);
+    run_sweep(ctx, delayed, sweep.start, *c.set, bs, c.policy, got);
+    EXPECT_EQ(want.report.batches - want.report.ok, 2)
+        << c.name << " " << b.name;
+    expect_same_sweep(got, want, c.set->size(),
+                      std::string(c.name) + " " + b.name + " on " + exec);
+  }
+}
+
+TEST(DelayedSweep, DroppedBatchesInsideAPendingWindowKeepTheEquality) {
+  const HelixSweep sweep;
+  Executors ex;
   for (const linalg::Backend* b : linalg::all_backends()) {
-    const linalg::Backend eager = with_delay(*b, 0);
-    const linalg::Backend delayed = with_delay(*b, 8);
-    for (const Case& c : cases) {
-      for (const auto& [exec, ctx] : sweep_executors(ex)) {
-        SweepResult want;
-        SweepResult got;
-        run_sweep(*ctx, eager, sweep.start, *c.set, bs, c.policy, want);
-        run_sweep(*ctx, delayed, sweep.start, *c.set, bs, c.policy, got);
-        EXPECT_EQ(want.report.batches - want.report.ok, 2)
-            << c.name << " " << b->name;
-        expect_same_sweep(got, want, c.set->size(),
-                          std::string(c.name) + " " + b->name + " on " +
-                              exec);
+    ASSERT_NO_FATAL_FAILURE(
+        expect_dropped_keep_equality(sweep, *b, "serial", ex.serial));
+  }
+}
+
+TEST_P(DelayedSweepLanes, DroppedBatchesInsideAPendingWindowKeepTheEquality) {
+  const HelixSweep sweep;
+  Executors ex;
+  expect_dropped_keep_equality(sweep, *GetParam().backend, GetParam().exec,
+                               sweep_executor(ex, GetParam().exec));
+}
+
+void expect_retried_keep_equality(const HelixSweep& sweep,
+                                  const linalg::Backend& b, const char* exec,
+                                  par::ExecContext& ctx) {
+  est::SolvePolicy exhausted = est::SolvePolicy::retry_regularized();
+  exhausted.max_retries = 0;  // the first failure is final
+  const linalg::Backend eager = with_delay(b, 0);
+  const linalg::Backend delayed = with_delay(b, 8);
+  for (const bool transient : {true, false}) {
+    SweepResult results[2];
+    const linalg::Backend* tables[2] = {&eager, &delayed};
+    for (int v = 0; v < 2; ++v) {
+      fault::Injector::instance().clear();
+      for (const Index batch : {6, 9}) {
+        fault::Site site;
+        site.kind = fault::Kind::kNonSpd;
+        site.batch = batch;
+        // A transient fault fails one attempt (the batch retries and
+        // applies); a persistent one exhausts a zero-rung ladder.
+        site.max_fires = transient ? 1 : -1;
+        fault::Injector::instance().arm(site);
       }
+      run_sweep(ctx, *tables[v], sweep.start, sweep.set, 8,
+                transient ? est::SolvePolicy::retry_regularized() : exhausted,
+                results[v]);
     }
+    fault::Injector::instance().clear();
+    EXPECT_EQ(transient ? results[0].report.retried
+                        : results[0].report.failed,
+              2)
+        << b.name;
+    expect_same_sweep(results[1], results[0], sweep.set.size(),
+                      std::string(transient ? "retried " : "exhausted ") +
+                          b.name + " on " + exec);
   }
 }
 
 TEST(DelayedSweep, RetriedAndExhaustedBatchesInsideAPendingWindow) {
   const HelixSweep sweep;
   Executors ex;
-  est::SolvePolicy exhausted = est::SolvePolicy::retry_regularized();
-  exhausted.max_retries = 0;  // the first failure is final
   for (const linalg::Backend* b : linalg::all_backends()) {
-    const linalg::Backend eager = with_delay(*b, 0);
-    const linalg::Backend delayed = with_delay(*b, 8);
-    for (const bool transient : {true, false}) {
-      for (const auto& [exec, ctx] : sweep_executors(ex)) {
-        SweepResult results[2];
-        const linalg::Backend* tables[2] = {&eager, &delayed};
-        for (int v = 0; v < 2; ++v) {
-          fault::Injector::instance().clear();
-          for (const Index batch : {6, 9}) {
-            fault::Site site;
-            site.kind = fault::Kind::kNonSpd;
-            site.batch = batch;
-            // A transient fault fails one attempt (the batch retries and
-            // applies); a persistent one exhausts a zero-rung ladder.
-            site.max_fires = transient ? 1 : -1;
-            fault::Injector::instance().arm(site);
-          }
-          run_sweep(*ctx, *tables[v], sweep.start, sweep.set, 8,
-                    transient ? est::SolvePolicy::retry_regularized()
-                              : exhausted,
-                    results[v]);
-        }
-        fault::Injector::instance().clear();
-        EXPECT_EQ(transient ? results[0].report.retried
-                            : results[0].report.failed,
-                  2)
-            << b->name;
-        expect_same_sweep(results[1], results[0], sweep.set.size(),
-                          std::string(transient ? "retried " : "exhausted ") +
-                              b->name + " on " + exec);
-      }
-    }
+    ASSERT_NO_FATAL_FAILURE(
+        expect_retried_keep_equality(sweep, *b, "serial", ex.serial));
   }
+}
+
+TEST_P(DelayedSweepLanes, RetriedAndExhaustedBatchesInsideAPendingWindow) {
+  const HelixSweep sweep;
+  Executors ex;
+  expect_retried_keep_equality(sweep, *GetParam().backend, GetParam().exec,
+                               sweep_executor(ex, GetParam().exec));
 }
 
 // -- the exits ----------------------------------------------------------------
@@ -583,43 +692,19 @@ TEST(DelayedSweepExit, AbortPolicyThrowAtEveryPendingDepth) {
   }
 }
 
-// One ctest entry per (backend, executor) cell, so no single entry sets a
-// sanitizer leg's wall time.  Every cell runs every fault kind at every
-// pending depth, eager and delayed.
-struct FaultCell {
-  const linalg::Backend* backend;
-  const char* exec;  // a name in sweep_executors()
-};
+// Every cell runs every fault kind at every pending depth, eager and
+// delayed.
+class DelayedSweepFault : public ::testing::TestWithParam<SweepCell> {};
 
-// gtest_discover_tests names each ctest entry by this printout.
-void PrintTo(const FaultCell& cell, std::ostream* os) {
-  *os << cell.backend->name << "_" << cell.exec;
-}
-
-std::vector<FaultCell> fault_cells() {
-  std::vector<FaultCell> cells;
-  for (const linalg::Backend* b : linalg::all_backends()) {
-    for (const char* exec : {"serial", "team3", "sim3"}) {
-      cells.push_back({b, exec});
-    }
-  }
-  return cells;
-}
-
-class DelayedSweepFault : public ::testing::TestWithParam<FaultCell> {};
-
-INSTANTIATE_TEST_SUITE_P(Cells, DelayedSweepFault,
-                         ::testing::ValuesIn(fault_cells()));
+INSTANTIATE_TEST_SUITE_P(
+    Cells, DelayedSweepFault,
+    ::testing::ValuesIn(sweep_cells({"serial", "team3", "sim3"})));
 
 TEST_P(DelayedSweepFault, InjectedFaultsAtEveryPendingDepth) {
   const linalg::Backend* b = GetParam().backend;
   const HelixSweep sweep;
   Executors ex;
-  par::ExecContext* ctx = nullptr;
-  for (const auto& [name, c] : sweep_executors(ex)) {
-    if (std::string_view(name) == GetParam().exec) ctx = c;
-  }
-  ASSERT_NE(ctx, nullptr) << GetParam().exec;
+  par::ExecContext* ctx = &sweep_executor(ex, GetParam().exec);
   struct Fault {
     const char* name;
     fault::Kind kind;

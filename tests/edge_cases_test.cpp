@@ -9,7 +9,7 @@
 #include "core/solve_plan.hpp"
 #include "core/work_model.hpp"
 #include "estimation/combine.hpp"
-#include "linalg/cholesky.hpp"
+#include "linalg/backend.hpp"
 #include "linalg/kernels.hpp"
 #include "support/rng.hpp"
 
@@ -69,14 +69,14 @@ TEST(EdgeCases, OneByOneCholesky) {
   linalg::Matrix m(1, 1);
   m(0, 0) = 4.0;
   par::SerialContext ctx;
-  linalg::cholesky(ctx, m);
+  ASSERT_TRUE(linalg::default_backend().cholesky_factor(ctx, m, 48).ok());
   EXPECT_DOUBLE_EQ(m(0, 0), 2.0);
 }
 
 TEST(EdgeCases, ZeroByZeroMatrixOperationsAreTrivial) {
   linalg::Matrix m(0, 0);
   par::SerialContext ctx;
-  EXPECT_NO_THROW(linalg::cholesky(ctx, m));
+  EXPECT_TRUE(linalg::default_backend().cholesky_factor(ctx, m, 48).ok());
   EXPECT_NO_THROW(linalg::mirror_lower(ctx, m));
   EXPECT_DOUBLE_EQ(m.max_abs(), 0.0);
 }
@@ -86,7 +86,7 @@ TEST(EdgeCases, TrsmWithNoRightHandSides) {
   l.set_identity();
   linalg::Matrix b(3, 0);
   par::SerialContext ctx;
-  EXPECT_NO_THROW(linalg::trsm_lower(ctx, l, b));
+  EXPECT_NO_THROW(linalg::default_backend().trsm_lower(ctx, l, b));
 }
 
 TEST(EdgeCases, CombineRejectsBadPrior) {

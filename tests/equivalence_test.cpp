@@ -167,7 +167,9 @@ TEST(LinearEquivalence, NonlinearDataIsExactTooWhenOrderMatches) {
   cons::ConstraintSet ordered;
   mol::Topology topo;
   for (Index a = 0; a < atoms; ++a) {
-    topo.add_atom("a" + std::to_string(a),
+    std::string label = "a";
+    label += std::to_string(a);
+    topo.add_atom(std::move(label),
                   {static_cast<double>(a) * 1.5, 0.3 * (a % 2), 0.0});
   }
   h.for_each_post_order([&](HierNode& node) {
@@ -216,7 +218,9 @@ TEST(LinearEquivalence, DifferentOrderDivergesForNonlinearData) {
 
   mol::Topology topo;
   for (Index a = 0; a < atoms; ++a) {
-    topo.add_atom("a" + std::to_string(a),
+    std::string label = "a";
+    label += std::to_string(a);
+    topo.add_atom(std::move(label),
                   {static_cast<double>(a) * 1.5, 0.3 * (a % 2), 0.1 * a});
   }
   cons::ConstraintSet ordered;

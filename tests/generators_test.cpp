@@ -109,8 +109,12 @@ TEST(HelixGen, ChemistryAnglesOptIn) {
   EXPECT_EQ(set.count_category(6), 4 * 10);
   EXPECT_EQ(set.count_category(7), 4 * 9);
   for (const Constraint& c : set.all()) {
-    if (c.category == 6) EXPECT_EQ(c.kind, Kind::kAngle);
-    if (c.category == 7) EXPECT_EQ(c.kind, Kind::kTorsion);
+    if (c.category == 6) {
+      EXPECT_EQ(c.kind, Kind::kAngle);
+    }
+    if (c.category == 7) {
+      EXPECT_EQ(c.kind, Kind::kTorsion);
+    }
   }
 }
 

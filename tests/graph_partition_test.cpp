@@ -104,7 +104,9 @@ TEST(GraphPartition, HierarchyIsValidAndBounded) {
       decompose_by_graph_partition(model.num_atoms(), set, opts);
   d.hierarchy.validate();
   d.hierarchy.for_each_post_order([&](const HierNode& node) {
-    if (node.is_leaf()) EXPECT_LE(node.num_atoms(), 12);
+    if (node.is_leaf()) {
+      EXPECT_LE(node.num_atoms(), 12);
+    }
   });
 }
 

@@ -73,7 +73,9 @@ TEST(BisectionHierarchy, RespectsLeafBound) {
   const Hierarchy h = build_bisection_hierarchy(100, 16);
   h.validate();
   h.for_each_post_order([&](const HierNode& node) {
-    if (node.is_leaf()) EXPECT_LE(node.num_atoms(), 16);
+    if (node.is_leaf()) {
+      EXPECT_LE(node.num_atoms(), 16);
+    }
   });
 }
 

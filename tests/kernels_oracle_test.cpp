@@ -1,10 +1,10 @@
 // Differential oracle for the blocked dense kernels (DESIGN.md §7).
 //
-// Every cache-blocked, register-tiled production kernel is property-tested
-// against its frozen scalar twin in linalg::ref over a shape grid that
-// covers empty/degenerate batches and every tile-remainder case (sizes
-// straddling the 8-row register tile, the 256-column strip and the 32-row
-// trsm block).  Two guarantees are pinned:
+// Every kernel of the default backend's table (PHMSE_BACKEND picks which)
+// is property-tested against its frozen scalar twin in linalg::ref over a
+// shape grid that covers empty/degenerate batches and every tile-remainder
+// case (sizes straddling the 8-row register tile, the 256-column strip and
+// the 32-row trsm block).  Two guarantees are pinned:
 //
 //   * accuracy — elementwise agreement with the scalar reference within
 //     a small multiple of eps * ||ref||_F (the two implementations sum in
@@ -19,8 +19,8 @@
 #include <limits>
 #include <vector>
 
+#include "linalg/backend.hpp"
 #include "linalg/blas.hpp"
-#include "linalg/cholesky.hpp"
 #include "linalg/kernels.hpp"
 #include "linalg/ref/ref_kernels.hpp"
 #include "parallel/team.hpp"
@@ -115,7 +115,7 @@ TEST(KernelsOracle, CovarianceDowndateMatchesRef) {
       const Matrix c0 = random_spd(n, rng);
       Matrix c_blocked = c0;
       Matrix c_ref = c0;
-      covariance_downdate(ctx, w, c_blocked);
+      default_backend().covariance_downdate(ctx, w, c_blocked);
       ref::covariance_downdate(ctx, w, c_ref);
       if (m == 0) {
         // Degenerate batch: the downdate must leave C untouched.
@@ -137,7 +137,7 @@ TEST(KernelsOracle, GramMatchesRef) {
     for (const Index n : kShapes) {
       const Matrix w = random_matrix(m, n, rng);
       Matrix out_blocked, out_ref;
-      gram(ctx, w, out_blocked);
+      default_backend().gram(ctx, w, out_blocked);
       ref::gram(ctx, w, out_ref);
       expect_close(out_blocked, out_ref, 4.0, shape_tag("gram", m, n));
       if (m == 0 && n > 0) {
@@ -162,18 +162,11 @@ TEST(KernelsOracle, TrsmLowerMatchesRef) {
       const Matrix b0 = random_matrix(sz, rhs, rng);
       Matrix b_blocked = b0;
       Matrix b_ref = b0;
-      trsm_lower(ctx, l, b_blocked);
+      default_backend().trsm_lower(ctx, l, b_blocked);
       ref::trsm_lower(ctx, l, b_ref);
       // Back-substitution error grows with the solve depth; 16x headroom
       // over the GEMM bar covers sz = 129 empirically with wide margin.
       expect_close(b_blocked, b_ref, 16.0, shape_tag("trsm_lower", sz, rhs));
-
-      b_blocked = b0;
-      b_ref = b0;
-      trsm_lower_transposed(ctx, l, b_blocked);
-      ref::trsm_lower_transposed(ctx, l, b_ref);
-      expect_close(b_blocked, b_ref, 16.0,
-                   shape_tag("trsm_lower_transposed", sz, rhs));
     }
   }
 }
@@ -185,10 +178,11 @@ TEST(KernelsOracle, CholeskyMatchesRef) {
   for (const Index n : kShapes) {
     const Matrix s = random_spd(n, rng);
     Matrix a_ref = s;
-    ref::cholesky(ctx, a_ref);
+    ASSERT_TRUE(ref::cholesky_factor(ctx, a_ref).ok()) << "n=" << n;
     for (const Index block : blocks) {
       Matrix a_blocked = s;
-      cholesky(ctx, a_blocked, block);
+      ASSERT_TRUE(default_backend().cholesky_factor(ctx, a_blocked, block).ok())
+          << shape_tag("cholesky", block, n);
       // Factorization error compounds over the trailing updates; 64x
       // headroom covers n = 129 at every block size with margin.
       expect_close(a_blocked, a_ref, 64.0,
@@ -213,7 +207,7 @@ TEST(KernelsOracle, SerialVsThreadedBitwiseIdentical) {
           pool,
           [&](par::ExecContext& ctx, Matrix& out) {
             out = c0;
-            covariance_downdate(ctx, v, out);
+            default_backend().covariance_downdate(ctx, v, out);
             mirror_lower(ctx, out);
           },
           serial_out, threaded_out);
@@ -222,7 +216,9 @@ TEST(KernelsOracle, SerialVsThreadedBitwiseIdentical) {
 
       serial_and_threaded(
           pool,
-          [&](par::ExecContext& ctx, Matrix& out) { gram(ctx, v, out); },
+          [&](par::ExecContext& ctx, Matrix& out) {
+            default_backend().gram(ctx, v, out);
+          },
           serial_out, threaded_out);
       expect_bitwise(serial_out, threaded_out, shape_tag("gram", m, n));
     }
@@ -243,7 +239,7 @@ TEST(KernelsOracle, TrsmAndCholeskySerialVsThreadedBitwiseIdentical) {
         pool,
         [&](par::ExecContext& ctx, Matrix& out) {
           out = b0;
-          trsm_lower(ctx, l, out);
+          default_backend().trsm_lower(ctx, l, out);
         },
         serial_out, threaded_out);
     expect_bitwise(serial_out, threaded_out, shape_tag("trsm_lower", sz, 65));
@@ -251,18 +247,8 @@ TEST(KernelsOracle, TrsmAndCholeskySerialVsThreadedBitwiseIdentical) {
     serial_and_threaded(
         pool,
         [&](par::ExecContext& ctx, Matrix& out) {
-          out = b0;
-          trsm_lower_transposed(ctx, l, out);
-        },
-        serial_out, threaded_out);
-    expect_bitwise(serial_out, threaded_out,
-                   shape_tag("trsm_lower_transposed", sz, 65));
-
-    serial_and_threaded(
-        pool,
-        [&](par::ExecContext& ctx, Matrix& out) {
           out = s;
-          cholesky(ctx, out);
+          ASSERT_TRUE(default_backend().cholesky_factor(ctx, out, 48).ok());
         },
         serial_out, threaded_out);
     expect_bitwise(serial_out, threaded_out, shape_tag("cholesky", 0, sz));

@@ -76,7 +76,9 @@ TEST(Ribo30s, EveryDomainNonEmptyByDefault) {
 TEST(Ribo30s, ProteinsAreSinglePseudoAtoms) {
   const Ribo30sModel model = build_ribo30s();
   for (const Segment& s : model.segments) {
-    if (s.kind == Segment::Kind::kProtein) EXPECT_EQ(s.size(), 1);
+    if (s.kind == Segment::Kind::kProtein) {
+      EXPECT_EQ(s.size(), 1);
+    }
   }
 }
 

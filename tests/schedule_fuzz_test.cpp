@@ -15,7 +15,11 @@ namespace {
 std::unique_ptr<HierNode> random_tree(Index begin, Index end, int depth,
                                       Rng& rng) {
   auto node = std::make_unique<HierNode>();
-  node->name = "n" + std::to_string(begin) + "_" + std::to_string(end);
+  std::string name = "n";
+  name += std::to_string(begin);
+  name += '_';
+  name += std::to_string(end);
+  node->name = std::move(name);
   node->atom_begin = begin;
   node->atom_end = end;
   node->own_work = rng.uniform(0.0, 10.0);
